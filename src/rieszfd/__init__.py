@@ -61,10 +61,6 @@ from .kernel import (
     TailSums,
     WeightTable,
     rf_coefficients,
-    tail_sum_left,
-    tail_sum_right,
-    tail_sums,
-    v_kernel,
     validate_params,
     weight,
     weight_table,
@@ -82,7 +78,6 @@ from .schemes import (
     LinearSystem,
     SchemeConfig,
     assemble_system,
-    explicit_step,
     implicit_step,
     max_stable_dt,
     p_coefficient,
@@ -136,7 +131,6 @@ __all__ = [
     "build_grid",
     "config_hash",
     "convergence_study",
-    "explicit_step",
     "implicit_step",
     "kernel_eval",
     "lu_factor",
@@ -152,10 +146,6 @@ __all__ = [
     "snapshot_error",
     "stability_bound_split",
     "tail_oracle",
-    "tail_sum_left",
-    "tail_sum_right",
-    "tail_sums",
-    "v_kernel",
     "validate_params",
     "weight",
     "weight_oracle",

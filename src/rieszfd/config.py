@@ -71,10 +71,9 @@ def _load(text_or_mapping) -> dict:
     return doc
 
 
-def _number(doc: dict, key: str) -> float:
-    value = doc[key]
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalid(f"{key}: expected a number, got {value!r}")
+        raise ConfigInvalid(f"{path}: expected a number, got {value!r}")
     return float(value)
 
 
@@ -156,24 +155,25 @@ def parse_config(text_or_mapping, base_dir: Path | None = None) -> SimulationCon
         raise ConfigInvalid(f"missing required key(s): {', '.join(sorted(missing))}")
 
     try:
-        params = validate_params(_number(doc, "alpha"), _number(doc, "theta"))
+        params = validate_params(_number(doc["alpha"], "alpha"), _number(doc["theta"], "theta"))
     except ValidationError as exc:
         raise type(exc)(f"alpha/theta: {exc}") from exc
 
     domain = doc["domain"]
     if not isinstance(domain, list) or len(domain) != 2:
         raise ConfigInvalid(f"domain: expected [left, right], got {domain!r}")
+    left, right = (_number(end, f"domain[{i}]") for i, end in enumerate(domain))
     n_cells = doc["n_cells"]
     if isinstance(n_cells, bool) or not isinstance(n_cells, int):
         raise ConfigInvalid(f"n_cells: expected an integer, got {n_cells!r}")
     try:
-        grid = build_grid(float(domain[0]), float(domain[1]), n_cells)
+        grid = build_grid(left, right, n_cells)
     except ValidationError as exc:
         raise type(exc)(f"domain/n_cells: {exc}") from exc
 
     dt_spec = doc.get("dt", "auto")
     if dt_spec == "auto":
-        safety = _number(doc, "dt_safety") if "dt_safety" in doc else DEFAULT_DT_SAFETY
+        safety = _number(doc["dt_safety"], "dt_safety") if "dt_safety" in doc else DEFAULT_DT_SAFETY
         policy = DtPolicy.auto(safety)
     else:
         if "dt_safety" in doc:
@@ -182,11 +182,11 @@ def parse_config(text_or_mapping, base_dir: Path | None = None) -> SimulationCon
             raise ConfigInvalid(f"dt: expected \"auto\" or a number, got {dt_spec!r}")
         policy = DtPolicy.fixed(float(dt_spec))
 
-    sigma = _number(doc, "sigma") if "sigma" in doc else 1.0
+    sigma = _number(doc["sigma"], "sigma") if "sigma" in doc else 1.0
     try:
         scheme = SchemeConfig(
             params=params,
-            k_alpha=_number(doc, "k_alpha"),
+            k_alpha=_number(doc["k_alpha"], "k_alpha"),
             dt=None,
             sigma=sigma,
             bc_left=_parse_boundary(doc.get("bc_left"), "bc_left"),
@@ -207,7 +207,7 @@ def parse_config(text_or_mapping, base_dir: Path | None = None) -> SimulationCon
             grid=grid,
             scheme=scheme,
             initial=initial,
-            t_end=_number(doc, "t_end"),
+            t_end=_number(doc["t_end"], "t_end"),
             snapshot_times=tuple(float(t) for t in snapshots),
             dt_policy=policy,
         )

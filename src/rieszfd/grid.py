@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +40,8 @@ class Grid1D:
 
 def build_grid(left: float, right: float, n_cells: int) -> Grid1D:
     """Validated uniform grid; raises DegenerateDomain on bad extents."""
+    if not (math.isfinite(left) and math.isfinite(right)):
+        raise DegenerateDomain(f"domain ends must be finite, got [{left}, {right}]")
     if not right > left:
         raise DegenerateDomain(f"need right > left, got [{left}, {right}]")
     if n_cells < 2:

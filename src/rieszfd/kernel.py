@@ -129,21 +129,6 @@ def _pow0(base: float, expo: float) -> float:
     return 0.0 if base == 0.0 else base**expo
 
 
-def v_kernel(k: int, params: FractionalParams, h: float) -> float:
-    """Integral of the power-law kernel over one grid cell at offset k.
-
-    Equals ``h**(m-alpha) * ((k+1)**(m-alpha) - k**(m-alpha)) / Gamma(m+1-alpha)``
-    with m = 1 on the alpha < 1 branch and m = 2 otherwise.
-    """
-    if k < 0:
-        raise ValueError(f"cell offset must be >= 0, got {k}")
-    if h <= 0.0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
-    m = 1 if params.sub_one else 2
-    b = m - params.alpha
-    return h**b * (_pow0(k + 1.0, b) - _pow0(float(k), b)) / math.gamma(m + 1 - params.alpha)
-
-
 def _sub_one_weight(k: int, a: float, lam: float, cl: float, cr: float) -> float:
     # five-case table for 0 < alpha < 1; b = 1 - alpha
     b = 1.0 - a
@@ -334,16 +319,3 @@ class TailSums:
             self._array_cache[n] = cached
         return cached
 
-
-def tail_sums(params: FractionalParams) -> TailSums:
-    return TailSums(params)
-
-
-def tail_sum_left(j: int, params: FractionalParams) -> float:
-    """Sum of all weights with index < -j, j >= 1."""
-    return TailSums(params).left(j)
-
-
-def tail_sum_right(j: int, params: FractionalParams) -> float:
-    """Sum of all weights with index > j, j >= 1."""
-    return TailSums(params).right(j)

@@ -4,17 +4,19 @@ One step advances the interior nodes by the discretized fractional
 operator while both Dirichlet values enter every interior node through
 closed-form tail sums (values beyond the domain are held at the nearest
 boundary value).  ``sigma`` blends the time levels: 1 is fully explicit,
-0 fully implicit, anything between is a partially implicit scheme.
-Boundary data is evaluated at half steps t = dt*(f + 1/2).
+0 fully implicit, anything between is a partially implicit scheme.  A
+single step function, ``implicit_step``, serves every sigma; at sigma = 1
+its system matrix is the identity and it does no solve.  Boundary data is
+evaluated at half steps t = dt*(f + 1/2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnstableTimestep
 from .grid import BoundarySpec, FieldState, boundary_at_half_step
 from .kernel import FractionalParams, TailSums, WeightTable, weight
 from .linalg import LUFactorization, lu_factor, lu_solve
@@ -25,9 +27,9 @@ class SchemeConfig:
     """Diffusion coefficient, time step, sigma weight and boundary data.
 
     ``dt`` may be None when a simulation-level policy resolves it later;
-    the step functions themselves require a concrete value.  Explicit
-    stepping refuses dt at or above the positivity bound unless
-    ``allow_unstable_dt`` is set.
+    the step itself requires a concrete value.  A run at sigma = 1 refuses
+    dt at or above the positivity bound unless ``allow_unstable_dt`` is
+    set; the run checks this once, when it resolves dt.
     """
 
     params: FractionalParams
@@ -39,8 +41,10 @@ class SchemeConfig:
     allow_unstable_dt: bool = False
 
     def __post_init__(self):
-        if not self.k_alpha > 0.0:
-            raise ValueError(f"diffusion coefficient must be positive, got {self.k_alpha}")
+        if not (self.k_alpha > 0.0 and math.isfinite(self.k_alpha)):
+            raise ValueError(
+                f"diffusion coefficient must be positive and finite, got {self.k_alpha}"
+            )
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0.0 <= self.sigma <= 1.0:
@@ -77,49 +81,25 @@ def rf_apply_bounded(
     g_right: float,
     table: WeightTable,
     tails: TailSums,
+    sigma: float = 1.0,
 ) -> np.ndarray:
-    """Discrete fractional operator at the N-1 interior nodes.
+    """Sigma-weighted discrete fractional operator at the N-1 interior nodes.
 
-    out[i-1] = h**-alpha * ( sum_{k=-i}^{N-i} C_{i+k} w_k
+    out[i-1] = h**-alpha * ( sigma * sum_{k=-i}^{N-i} C_{i+k} w_k
                              + g_left * s_L(i) + g_right * s_R(N-i) )
 
     The window sum covers every node of the bounded grid; the tail sums
-    carry the boundary values held on the virtual nodes outside it.
+    carry the boundary values held on the virtual nodes outside it.  At
+    sigma = 0 the window sum is skipped, not multiplied by zero.
     """
     n = state.grid.n_cells
-    w_mat = table.application_matrix(n)  # raises WindowTooSmall if undersized
     s_left, s_right = tails.interior_arrays(n)
-    acc = w_mat @ state.values
-    acc += g_left * s_left
+    acc = g_left * s_left
+    if sigma != 0.0:
+        # raises WindowTooSmall if the table is undersized
+        acc += sigma * (table.application_matrix(n) @ state.values)
     acc += g_right * s_right[::-1]  # s_R(N-i) for i = 1..N-1
     return acc / state.grid.h ** table.params.alpha
-
-
-def explicit_step(
-    state: FieldState,
-    cfg: SchemeConfig,
-    table: WeightTable,
-    tails: TailSums,
-) -> FieldState:
-    """One forward step of the fully explicit (sigma = 1) scheme."""
-    dt = cfg._require_dt()
-    if not cfg.allow_unstable_dt:
-        bound = max_stable_dt(cfg.params, cfg.k_alpha, state.grid.h)
-        if dt >= bound:
-            raise UnstableTimestep(
-                f"dt={dt} is at or above the explicit bound {bound}; "
-                f"reduce dt or set allow_unstable_dt"
-            )
-    f = state.step_index
-    gl = boundary_at_half_step(cfg.bc_left, dt, f)
-    gr = boundary_at_half_step(cfg.bc_right, dt, f)
-    new = np.empty_like(state.values)
-    new[1:-1] = state.values[1:-1] + dt * cfg.k_alpha * rf_apply_bounded(
-        state, gl, gr, table, tails
-    )
-    new[0] = gl
-    new[-1] = gr
-    return FieldState(grid=state.grid, values=new, time=dt * (f + 1), step_index=f + 1)
 
 
 @dataclass(frozen=True)
@@ -150,14 +130,11 @@ def _assemble_rhs(
     gl: float,
     gr: float,
 ) -> np.ndarray:
-    n = state.grid.n_cells
-    r = cfg.k_alpha * cfg._require_dt() / state.grid.h ** cfg.params.alpha
-    s_left, s_right = tails.interior_arrays(n)
-    interior = gl * s_left + gr * s_right[::-1]
-    if cfg.sigma != 0.0:
-        interior = interior + cfg.sigma * (table.application_matrix(n) @ state.values)
-    rhs = np.empty(n + 1)
-    rhs[1:-1] = state.values[1:-1] + r * interior
+    """b: C^f + dt K F on interior rows, with F = rf_apply_bounded at the
+    scheme's sigma, and the boundary values on the end rows."""
+    op = rf_apply_bounded(state, gl, gr, table, tails, cfg.sigma)
+    rhs = np.empty_like(state.values)
+    rhs[1:-1] = state.values[1:-1] + cfg._require_dt() * cfg.k_alpha * op
     rhs[0] = gl
     rhs[-1] = gr
     return rhs
@@ -186,24 +163,26 @@ def implicit_step(
     tails: TailSums,
     factorization: LUFactorization | None = None,
 ) -> FieldState:
-    """One step solving A C^{f+1} = b.
+    """One sigma-weighted step: solve A C^{f+1} = b.
 
-    The matrix depends only on (params, k_alpha, dt, sigma, N): pass the
-    factorization in when stepping repeatedly so A is factored once.
+    At sigma = 1 the matrix A is the identity, so the step is the explicit
+    update b itself and nothing is factored or solved.  Otherwise A depends
+    only on (params, k_alpha, dt, sigma, N): pass the factorization in when
+    stepping repeatedly so A is factored once.  The step does not compare
+    dt with the explicit bound; ``run`` does that once, when it resolves dt.
     """
     dt = cfg._require_dt()
     f = state.step_index
     gl = boundary_at_half_step(cfg.bc_left, dt, f)
     gr = boundary_at_half_step(cfg.bc_right, dt, f)
-    if factorization is None:
-        system = assemble_system(state, cfg, table, tails)
-        factorization = lu_factor(system.matrix)
-        rhs = system.rhs
-    else:
-        rhs = _assemble_rhs(state, cfg, table, tails, gl, gr)
-    new = lu_solve(factorization, rhs)
-    # boundary nodes are prescribed, not solved for; pin them so pivoting
-    # noise from the elimination cannot leak onto them
-    new[0] = gl
-    new[-1] = gr
+    new = _assemble_rhs(state, cfg, table, tails, gl, gr)
+    if cfg.sigma != 1.0:
+        if factorization is None:
+            n, h = state.grid.n_cells, state.grid.h
+            factorization = lu_factor(_assemble_matrix(cfg, table, n, h))
+        new = lu_solve(factorization, new)
+        # boundary nodes are prescribed, not solved for; pin them so pivoting
+        # noise from the elimination cannot leak onto them
+        new[0] = gl
+        new[-1] = gr
     return FieldState(grid=state.grid, values=new, time=dt * (f + 1), step_index=f + 1)

@@ -11,17 +11,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigInvalid, NoSuchSnapshot
+from .errors import ConfigInvalid, NoSuchSnapshot, UnstableTimestep
 from .grid import FieldState, Grid1D, InitialCondition, sample_initial
-from .kernel import tail_sums, weight_table
+from .kernel import TailSums, weight_table
 from .linalg import lu_factor
-from .schemes import (
-    SchemeConfig,
-    assemble_system,
-    explicit_step,
-    implicit_step,
-    max_stable_dt,
-)
+from .schemes import SchemeConfig, assemble_system, implicit_step, max_stable_dt
 
 # snapshot times are aligned to integer step multiples when their ratios to
 # t_end are rational with denominators up to this bound
@@ -38,8 +32,8 @@ class DtPolicy:
 
     @classmethod
     def fixed(cls, dt: float) -> "DtPolicy":
-        if not dt > 0.0:
-            raise ConfigInvalid(f"fixed dt must be positive, got {dt}")
+        if not (dt > 0.0 and math.isfinite(dt)):
+            raise ConfigInvalid(f"fixed dt must be positive and finite, got {dt}")
         return cls("fixed", float(dt))
 
     @classmethod
@@ -59,10 +53,10 @@ class SimulationConfig:
     dt_policy: DtPolicy = DtPolicy.auto(0.9)
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise ConfigInvalid(f"t_end must be positive, got {self.t_end}")
+        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
+            raise ConfigInvalid(f"t_end must be positive and finite, got {self.t_end}")
         times = tuple(sorted(float(t) for t in self.snapshot_times))
-        if times and (times[0] < 0.0 or times[-1] > self.t_end * (1.0 + 1e-12)):
+        if any(not 0.0 <= t <= self.t_end * (1.0 + 1e-12) for t in times):
             raise ConfigInvalid(f"snapshot times {times} not within [0, {self.t_end}]")
         object.__setattr__(self, "snapshot_times", times)
 
@@ -118,42 +112,54 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
     when the requested snapshot times are rational fractions of t_end, so
     are they; irrational requests fall back to nearest-step recording.
     A fixed policy uses the given dt unchanged and steps until t >= t_end.
+
+    This is the run's one stability check: at sigma = 1 a dt at or above
+    the explicit bound raises UnstableTimestep unless the scheme sets
+    ``allow_unstable_dt``.
     """
     policy = config.dt_policy
+    scheme = config.scheme
+    bound = max_stable_dt(scheme.params, scheme.k_alpha, config.grid.h)
     if policy.kind == "fixed":
         dt = policy.value
         n = max(1, math.ceil(config.t_end / dt * (1.0 - 1e-12)))
-        return dt, n
-    bound = max_stable_dt(config.scheme.params, config.scheme.k_alpha, config.grid.h)
-    base = policy.value * bound
-    n = max(1, math.ceil(config.t_end / base * (1.0 - 1e-12)))
-    denominators = []
-    for t in config.snapshot_times:
-        if t <= 0.0 or t >= config.t_end:
-            continue
-        frac = Fraction(t / config.t_end).limit_denominator(_ALIGN_DENOMINATOR_LIMIT)
-        if abs(float(frac) - t / config.t_end) < 1e-12:
-            denominators.append(frac.denominator)
-    if denominators:
-        lcm = math.lcm(*denominators)
-        aligned = lcm * math.ceil(n / lcm)
-        if aligned <= _ALIGN_STEP_CAP:
-            n = aligned
-    return config.t_end / n, n
+    else:
+        base = policy.value * bound
+        n = max(1, math.ceil(config.t_end / base * (1.0 - 1e-12)))
+        denominators = []
+        for t in config.snapshot_times:
+            if t <= 0.0 or t >= config.t_end:
+                continue
+            frac = Fraction(t / config.t_end).limit_denominator(_ALIGN_DENOMINATOR_LIMIT)
+            if abs(float(frac) - t / config.t_end) < 1e-12:
+                denominators.append(frac.denominator)
+        if denominators:
+            lcm = math.lcm(*denominators)
+            aligned = lcm * math.ceil(n / lcm)
+            if aligned <= _ALIGN_STEP_CAP:
+                n = aligned
+        dt = config.t_end / n
+    if scheme.sigma == 1.0 and not scheme.allow_unstable_dt and dt >= bound:
+        raise UnstableTimestep(
+            f"dt={dt} is at or above the explicit bound {bound}; "
+            f"reduce dt or set allow_unstable_dt"
+        )
+    return dt, n
 
 
 def run(config: SimulationConfig) -> SnapshotSeries:
     """Advance the field from t = 0 past t_end, recording snapshots.
 
-    Deterministic: identical configs produce bit-identical series.  The
-    weight table and tail sums are built once and reused every step; for
+    Deterministic: identical configs produce bit-identical series.  An
+    unstable explicit dt is refused before anything is built.  The weight
+    table and tail sums are built once and reused every step; for
     sigma < 1 the system matrix is factored once as well.
     """
     dt, n_steps = resolve_dt(config)
     grid = config.grid
     scheme = dataclasses.replace(config.scheme, dt=dt)
     table = weight_table(scheme.params, -(grid.n_cells - 1), grid.n_cells - 1)
-    tails = tail_sums(scheme.params)
+    tails = TailSums(scheme.params)
 
     state = sample_initial(config.initial, grid)
     recorded = [state]
@@ -165,16 +171,11 @@ def run(config: SimulationConfig) -> SnapshotSeries:
         wanted[min(n_steps, max(1, round(t / dt)))] = None
     wanted[n_steps] = None
 
-    if scheme.sigma == 1.0:
-        step: Callable[[FieldState], FieldState] = lambda s: explicit_step(
-            s, scheme, table, tails
-        )
-    else:
+    factorization = None
+    if scheme.sigma != 1.0:
         factorization = lu_factor(assemble_system(state, scheme, table, tails).matrix)
-        step = lambda s: implicit_step(s, scheme, table, tails, factorization)
-
     for f in range(1, n_steps + 1):
-        state = step(state)
+        state = implicit_step(state, scheme, table, tails, factorization)
         if f in wanted:
             recorded.append(state)
     return SnapshotSeries(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import BoundarySpec, InitialCondition, build_grid
-from .kernel import tail_sum_left, tail_sum_right, validate_params, weight
+from .kernel import TailSums, validate_params, weight
 from .oracles import (
     AnalyticKernel,
     CAUCHY,
@@ -93,12 +93,13 @@ def check_identities() -> list[CheckResult]:
     worst = 0.0
     for params in samples:
         cfg = SchemeConfig(params=params, k_alpha=1.0, dt=0.01)
+        tails = TailSums(params)
         h = 0.5
         for m in (1, 10, 50):
             total = p_coefficient(0, cfg, h)
             total += sum(p_coefficient(k, cfg, h) + p_coefficient(-k, cfg, h) for k in range(1, m + 1))
             r = cfg.k_alpha * cfg.dt / h**params.alpha
-            total += r * (tail_sum_left(m, params) + tail_sum_right(m, params))
+            total += r * (tails.left(m) + tails.right(m))
             worst = max(worst, abs(total - 1.0))
     results.append(
         CheckResult("update coefficients sum to one", worst <= 1e-12, f"max |sum-1| = {worst:.2e}")
@@ -118,11 +119,9 @@ def check_identities() -> list[CheckResult]:
 
     worst = 0.0
     for params in samples[:10]:
+        tails = TailSums(params)
         for j in (1, 5):
-            worst = max(
-                worst,
-                abs(tail_sum_right(j, params) - tail_oracle(j, params, cutoff=10**5)),
-            )
+            worst = max(worst, abs(tails.right(j) - tail_oracle(j, params, cutoff=10**5)))
     results.append(
         CheckResult(
             "closed-form tails match partial-sum oracle",

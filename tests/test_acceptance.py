@@ -17,8 +17,8 @@ from rieszfd import (
     SimulationConfig,
     AnalyticKernel,
     FieldState,
+    TailSums,
     build_grid,
-    explicit_step,
     implicit_step,
     mass,
     max_stable_dt,
@@ -28,9 +28,6 @@ from rieszfd import (
     snapshot_error,
     stability_bound_split,
     tail_oracle,
-    tail_sum_left,
-    tail_sum_right,
-    tail_sums,
     validate_params,
     weight,
     weight_oracle,
@@ -78,13 +75,14 @@ def test_criterion_02_update_coefficients_sum_to_one():
     worst = 0.0
     for params in sample_params(200, seed=101):
         cfg = SchemeConfig(params=params, k_alpha=k_alpha, dt=dt)
+        tails = TailSums(params)
         r = k_alpha * dt / h**params.alpha
         for m in (1, 10, 50):
             total = p_coefficient(0, cfg, h)
             total += sum(
                 p_coefficient(k, cfg, h) + p_coefficient(-k, cfg, h) for k in range(1, m + 1)
             )
-            total += r * (tail_sum_left(m, params) + tail_sum_right(m, params))
+            total += r * (tails.left(m) + tails.right(m))
             worst = max(worst, abs(total - 1.0))
     report(
         "criterion 2, coefficient sum identity",
@@ -105,11 +103,12 @@ def test_criterion_03_oracle_equivalence():
                 worst_w = max(worst_w, abs(weight(k, params) - weight_oracle(k, params)))
     worst_t = 0.0
     for params in sample_params(8, seed=104):
+        tails = TailSums(params)
         for j in (1, 3, 7):
             worst_t = max(
                 worst_t,
-                abs(tail_sum_left(j, params) - tail_oracle(j, params, 10**6, "left")),
-                abs(tail_sum_right(j, params) - tail_oracle(j, params, 10**6, "right")),
+                abs(tails.left(j) - tail_oracle(j, params, 10**6, "left")),
+                abs(tails.right(j) - tail_oracle(j, params, 10**6, "right")),
             )
     report(
         "criterion 3, oracle equivalence",
@@ -125,13 +124,13 @@ def test_criterion_04_classical_heat_scheme_limit():
     dt = 0.5 * max_stable_dt(params, 1.0, grid.h)
     cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt)
     table = weight_table(params, -(grid.n_cells - 1), grid.n_cells - 1)
-    tails = tail_sums(params)
+    tails = TailSums(params)
     state = sample_initial(InitialCondition.delta(), grid)
     reference = state.values.copy()
     lam = cfg.k_alpha * dt / grid.h**2
     worst = 0.0
     for _ in range(100):
-        state = explicit_step(state, cfg, table, tails)
+        state = implicit_step(state, cfg, table, tails)
         new = reference.copy()
         new[1:-1] = reference[1:-1] + lam * (
             reference[2:] - 2.0 * reference[1:-1] + reference[:-2]
@@ -189,13 +188,13 @@ def test_criterion_07_mass_conservation():
     dt = 0.9 * max_stable_dt(params, 1.0, grid.h)
     cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt)
     table = weight_table(params, -(grid.n_cells - 1), grid.n_cells - 1)
-    tails = tail_sums(params)
+    tails = TailSums(params)
     state = sample_initial(InitialCondition.delta(), grid)
     m0 = mass(state)
     margin = grid.n_cells
     drift = 0.0
     for _ in range(1000):
-        state = explicit_step(state, cfg, table, tails)
+        state = implicit_step(state, cfg, table, tails)
         support = np.nonzero(np.abs(state.values) > 1e-12)[0]
         margin = min(margin, int(support[0]), int(grid.n_cells - support[-1]))
         drift = max(drift, abs(mass(state) - m0))
@@ -232,11 +231,19 @@ def test_criterion_09_sigma_cross_checks():
             bc_right=BoundarySpec.constant(float(rng.uniform(-1, 1))),
         )
         table = weight_table(params, -(grid.n_cells - 1), grid.n_cells - 1)
-        tails = tail_sums(params)
-        state = FieldState(grid=grid, values=rng.uniform(-1, 1, grid.n_cells + 1))
-        explicit = explicit_step(state, cfg, table, tails)
-        implicit = implicit_step(state, cfg, table, tails)
-        worst = max(worst, float(np.max(np.abs(explicit.values - implicit.values))))
+        tails = TailSums(params)
+        n = grid.n_cells
+        vals = rng.uniform(-1, 1, n + 1)
+        implicit = implicit_step(FieldState(grid=grid, values=vals), cfg, table, tails)
+        # the explicit update written with its coefficients p_k and the tails
+        r = cfg.k_alpha * dt / grid.h**params.alpha
+        gl, gr = cfg.bc_left.value, cfg.bc_right.value
+        explicit = np.array([gl] + [
+            sum(p_coefficient(k, cfg, grid.h) * vals[j + k] for k in range(-j, n - j + 1))
+            + r * (gl * tails.left(j) + gr * tails.right(n - j))
+            for j in range(1, n)
+        ] + [gr])
+        worst = max(worst, float(np.max(np.abs(explicit - implicit.values))))
 
     params = validate_params(1.5, 0.0)
     grid = build_grid(0.0, 1.0, 20)
@@ -246,12 +253,12 @@ def test_criterion_09_sigma_cross_checks():
     )
     table = weight_table(params, -19, 19)
     state = FieldState(grid=grid, values=np.full(21, 4.0))
-    state = implicit_step(state, cfg, table, tail_sums(params))
+    state = implicit_step(state, cfg, table, TailSums(params))
     fixed_point_drift = float(np.max(np.abs(state.values - 4.0)))
     report(
         "criterion 9, sigma cross-checks",
         worst <= 1e-12 and fixed_point_drift <= 1e-12,
-        f"sigma=1 implicit vs explicit max diff = {worst:.2e} (tol 1e-12, 10 configs); "
+        f"sigma=1 step vs explicit update max diff = {worst:.2e} (tol 1e-12, 10 configs); "
         f"sigma=0 constant fixed-point drift = {fixed_point_drift:.2e} (tol 1e-12)",
     )
 

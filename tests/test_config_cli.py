@@ -141,6 +141,8 @@ class TestParseConfig:
             parse_config(fig2_document(n_cells=10.5))
         with pytest.raises(ConfigInvalid):
             parse_config(fig2_document(dt=True))
+        with pytest.raises(ConfigInvalid, match="domain"):
+            parse_config(fig2_document(domain=["a", 1.0]))
 
 
 class TestDocumentRoundTrip:
@@ -214,6 +216,24 @@ class TestSnapshotCsv:
             read_profile_csv(bad)
 
 
+# config entries that are not finite numbers; each names the offending key
+NON_FINITE_INPUTS = [
+    pytest.param({"domain": [-float("inf"), 1.0]}, "domain", id="domain-inf"),
+    pytest.param({"domain": ["a", 1.0]}, "domain", id="domain-text"),
+    pytest.param({"t_end": float("inf")}, "t_end", id="t_end-inf"),
+    pytest.param({"k_alpha": float("inf")}, "diffusion coefficient", id="k_alpha-inf"),
+    pytest.param({"dt": float("inf")}, "dt", id="dt-inf"),
+    pytest.param({"snapshots": [float("nan")]}, "snapshot", id="snapshot-nan"),
+]
+
+
+def non_finite_document(override):
+    doc = tiny_document(**override)
+    if doc["dt"] != "auto":
+        del doc["dt_safety"]
+    return doc
+
+
 class TestCli:
     def test_weights_matches_reference_column(self, capsys):
         assert main(["weights", "--alpha", "1.5", "--theta", "0", "--kmax", "5"]) == 0
@@ -268,6 +288,15 @@ class TestCli:
         config_path.write_text(json.dumps(tiny_document(alpha=1.0)))
         assert main(["simulate", "--config", str(config_path)]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, key", NON_FINITE_INPUTS)
+    def test_simulate_non_finite_inputs_exit_2(self, tmp_path, capsys, override, key):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(non_finite_document(override)))
+        target = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--out", str(target)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (target / "manifest.json").exists()
 
     def test_verify_table_suite(self, capsys):
         assert main(["verify", "--suite", "table1"]) == 0

@@ -30,6 +30,9 @@ class TestGrid:
             build_grid(1.0, 0.0, 10)
         with pytest.raises(DegenerateDomain):
             build_grid(0.0, 1.0, 1)
+        for left, right in ((-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(DegenerateDomain, match="finite"):
+                build_grid(left, right, 10)
 
     def test_endpoints_exact_without_drift(self):
         # 20/1000 is not exactly representable; endpoints must still be exact

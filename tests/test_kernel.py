@@ -8,11 +8,8 @@ from rieszfd import (
     OutOfRangeAlpha,
     SkewnessTooLarge,
     WindowTooSmall,
+    TailSums,
     rf_coefficients,
-    tail_sum_left,
-    tail_sum_right,
-    tail_sums,
-    v_kernel,
     validate_params,
     weight,
     weight_oracle,
@@ -168,51 +165,22 @@ class TestWeights:
         assert spill <= 1e-2
 
 
-class TestVKernel:
-    def test_half_order_first_cell(self):
-        p = validate_params(0.5, 0.0)
-        assert v_kernel(0, p, 1.0) == pytest.approx(1.0 / math.gamma(1.5), abs=1e-15)
-
-    def test_alpha_two_localizes(self):
-        p = validate_params(2.0, 0.0)
-        assert v_kernel(0, p, 1.0) == 1.0
-        assert v_kernel(1, p, 1.0) == 0.0
-
-    def test_against_quadrature(self):
-        # integral of the defining power kernel over one cell
-        from scipy.integrate import quad
-
-        p = validate_params(1.5, 0.0)
-        h = 0.5
-        ref, _ = quad(lambda u: u ** (1.0 - p.alpha) / math.gamma(2.0 - p.alpha), 3 * h, 4 * h)
-        got = v_kernel(3, p, h)
-        assert got == pytest.approx(h ** 0.5 * (4 ** 0.5 - 3 ** 0.5) / math.gamma(1.5), abs=1e-14)
-        assert got == pytest.approx(ref, abs=1e-10)
-
-    def test_preconditions(self):
-        p = validate_params(0.5, 0.0)
-        with pytest.raises(ValueError):
-            v_kernel(-1, p, 1.0)
-        with pytest.raises(ValueError):
-            v_kernel(0, p, 0.0)
-
-
 class TestTailSums:
     def test_alpha_two_tails_vanish(self):
-        p = validate_params(2.0, 0.0)
+        ts = TailSums(validate_params(2.0, 0.0))
         for j in (1, 2, 5, 50):
-            assert tail_sum_left(j, p) == 0.0
-            assert tail_sum_right(j, p) == 0.0
+            assert ts.left(j) == 0.0
+            assert ts.right(j) == 0.0
 
     def test_zero_skew_symmetry(self):
         for p in sample_params(20, seed=16):
-            q = validate_params(p.alpha, 0.0)
+            ts = TailSums(validate_params(p.alpha, 0.0))
             for j in (1, 4, 9):
-                assert tail_sum_left(j, q) == tail_sum_right(j, q)
+                assert ts.left(j) == ts.right(j)
 
     def test_nonnegative_nonincreasing_vanishing(self):
         for p in sample_params(40, seed=17):
-            ts = tail_sums(p)
+            ts = TailSums(p)
             js = np.arange(1, 200)
             left, right = ts.left(js), ts.right(js)
             assert np.all(left >= 0.0) and np.all(right >= 0.0)
@@ -224,18 +192,19 @@ class TestTailSums:
     def test_window_sum_identity_every_m(self):
         # total weight sum including both tails is zero for every window size
         for p in sample_params(25, seed=18):
+            ts = TailSums(p)
             for m in (1, 2, 3, 10, 50):
                 total = weight(0, p)
                 total += sum(weight(k, p) + weight(-k, p) for k in range(1, m + 1))
-                total += tail_sum_left(m, p) + tail_sum_right(m, p)
+                total += ts.left(m) + ts.right(m)
                 assert abs(total) <= 1e-10
 
     def test_j_zero_is_an_error(self):
-        p = validate_params(0.5, 0.0)
+        ts = TailSums(validate_params(0.5, 0.0))
         with pytest.raises(ValueError):
-            tail_sum_left(0, p)
+            ts.left(0)
         with pytest.raises(ValueError):
-            tail_sums(p).right(0)
+            ts.right(0)
 
 
 class TestOracleAgreement:

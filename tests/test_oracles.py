@@ -11,12 +11,11 @@ from rieszfd import (
     NonpositiveTime,
     SchemeConfig,
     SimulationConfig,
+    TailSums,
     build_grid,
     convergence_study,
     kernel_eval,
     tail_oracle,
-    tail_sum_left,
-    tail_sum_right,
     validate_params,
     weight_oracle,
 )
@@ -73,7 +72,7 @@ class TestTailOracle:
     def test_reference_case_large_cutoff(self):
         p = validate_params(0.5, 0.0)
         got = tail_oracle(3, p, cutoff=10**7, side="right")
-        assert abs(got - tail_sum_right(3, p)) <= 1e-8
+        assert abs(got - TailSums(p).right(3)) <= 1e-8
 
     def test_alpha_two_exact_zero(self):
         p = validate_params(2.0, 0.0)
@@ -88,9 +87,10 @@ class TestTailOracle:
 
     def test_skewed_sides_match_their_closed_forms(self):
         for p in sample_params(8, seed=42):
+            ts = TailSums(p)
             for j in (1, 5):
-                assert abs(tail_oracle(j, p, 10**5, "left") - tail_sum_left(j, p)) <= 1e-8
-                assert abs(tail_oracle(j, p, 10**5, "right") - tail_sum_right(j, p)) <= 1e-8
+                assert abs(tail_oracle(j, p, 10**5, "left") - ts.left(j)) <= 1e-8
+                assert abs(tail_oracle(j, p, 10**5, "right") - ts.right(j)) <= 1e-8
 
     def test_preconditions(self):
         p = validate_params(0.5, 0.0)

@@ -1,28 +1,29 @@
 import numpy as np
 import pytest
 
+import rieszfd.simulate
 from rieszfd import (
     BoundarySpec,
+    DtPolicy,
     FieldState,
     InitialCondition,
     SchemeConfig,
+    SimulationConfig,
+    TailSums,
     UnstableTimestep,
     WindowTooSmall,
     assemble_system,
     boundary_at_half_step,
     build_grid,
-    explicit_step,
     implicit_step,
     lu_factor,
     mass,
     max_stable_dt,
     p_coefficient,
     rf_apply_bounded,
+    run,
     sample_initial,
     stability_bound_split,
-    tail_sum_left,
-    tail_sum_right,
-    tail_sums,
     validate_params,
     weight,
     weight_table,
@@ -40,7 +41,7 @@ def make_setup(params, n_cells=16, left=0.0, right=1.0, k_alpha=1.0, dt=None, si
         bc_left=BoundarySpec.constant(gl), bc_right=BoundarySpec.constant(gr),
     )
     table = weight_table(params, -(n_cells - 1), n_cells - 1)
-    tails = tail_sums(params)
+    tails = TailSums(params)
     return grid, cfg, table, tails
 
 
@@ -65,6 +66,7 @@ class TestPCoefficient:
         for params in sample_params(40, seed=21):
             h = 0.5
             cfg = SchemeConfig(params=params, k_alpha=2.0, dt=0.01)
+            tails = TailSums(params)
             r = cfg.k_alpha * cfg.dt / h**params.alpha
             for m in (1, 10, 50):
                 total = p_coefficient(0, cfg, h)
@@ -72,7 +74,7 @@ class TestPCoefficient:
                     p_coefficient(k, cfg, h) + p_coefficient(-k, cfg, h)
                     for k in range(1, m + 1)
                 )
-                total += r * (tail_sum_left(m, params) + tail_sum_right(m, params))
+                total += r * (tails.left(m) + tails.right(m))
                 assert abs(total - 1.0) <= 1e-12
 
 
@@ -130,7 +132,7 @@ class TestApplyBounded:
         table = weight_table(params, -10, 10)  # needs [-15, 15]
         with pytest.raises(WindowTooSmall):
             rf_apply_bounded(
-                FieldState(grid=grid, values=np.zeros(17)), 0.0, 0.0, table, tail_sums(params)
+                FieldState(grid=grid, values=np.zeros(17)), 0.0, 0.0, table, TailSums(params)
             )
 
 
@@ -139,7 +141,7 @@ class TestExplicitStep:
         params = validate_params(1.3, -0.2)
         grid, cfg, table, tails = make_setup(params)
         state = FieldState(grid=grid, values=np.zeros(17))
-        new = explicit_step(state, cfg, table, tails)
+        new = implicit_step(state, cfg, table, tails)
         assert np.array_equal(new.values, np.zeros(17))
         assert new.step_index == 1 and new.time == cfg.dt
 
@@ -150,9 +152,9 @@ class TestExplicitStep:
         cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt,
                            bc_left=BoundarySpec.constant(1.0), bc_right=BoundarySpec.constant(2.0))
         table = weight_table(params, -9, 9)
-        tails = tail_sums(params)
+        tails = TailSums(params)
         vals = rng.uniform(0, 1, 11)
-        new = explicit_step(FieldState(grid=grid, values=vals), cfg, table, tails)
+        new = implicit_step(FieldState(grid=grid, values=vals), cfg, table, tails)
         for i in range(1, 10):
             expected = (vals[i - 1] + 2 * vals[i] + vals[i + 1]) / 4.0
             assert new.values[i] == pytest.approx(expected, abs=1e-13)
@@ -164,31 +166,38 @@ class TestExplicitStep:
         params = validate_params(1.5, 0.0)
         grid, cfg, table, tails = make_setup(params, n_cells=400, left=-10.0, right=10.0)
         state = sample_initial(InitialCondition.delta(), grid)
-        new = explicit_step(state, cfg, table, tails)
+        new = implicit_step(state, cfg, table, tails)
         r = cfg.k_alpha * cfg.dt / grid.h**params.alpha
         c = grid.n_cells // 2
-        leak = r * (tail_sum_left(c - 1, params) + tail_sum_right(grid.n_cells - 1 - c, params))
+        leak = r * (tails.left(c - 1) + tails.right(grid.n_cells - 1 - c))
         assert abs(mass(state) - mass(new) - leak * mass(state)) <= 1e-12
 
-    def test_rejects_unstable_step(self):
+    def test_rejects_unstable_step(self, monkeypatch):
+        # the run refuses the step size before it tabulates any weights
         params = validate_params(0.5, 0.0)
         grid = build_grid(0.0, 1.0, 16)
-        bound = max_stable_dt(params, 1.0, grid.h)
-        cfg = SchemeConfig(params=params, k_alpha=1.0, dt=bound * 1.01)
-        table = weight_table(params, -15, 15)
-        state = FieldState(grid=grid, values=np.zeros(17))
-        with pytest.raises(UnstableTimestep):
-            explicit_step(state, cfg, table, tail_sums(params))
-        forced = SchemeConfig(params=params, k_alpha=1.0, dt=bound * 1.01,
-                              allow_unstable_dt=True)
-        explicit_step(state, forced, table, tail_sums(params))
+        dt = 1.01 * max_stable_dt(params, 1.0, grid.h)
+
+        def config(scheme):
+            return SimulationConfig(grid=grid, scheme=scheme, initial=InitialCondition.delta(),
+                                    t_end=3 * dt, dt_policy=DtPolicy.fixed(dt))
+
+        def no_table(*args):
+            raise AssertionError("weight table built for a refused run")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(rieszfd.simulate, "weight_table", no_table)
+            with pytest.raises(UnstableTimestep):
+                run(config(SchemeConfig(params=params, k_alpha=1.0)))
+        forced = SchemeConfig(params=params, k_alpha=1.0, allow_unstable_dt=True)
+        assert run(config(forced)).n_steps == 3
 
     def test_maximum_principle(self, rng):
         for params in sample_params(15, seed=25):
             gl, gr = rng.uniform(-2, 2, 2)
             grid, cfg, table, tails = make_setup(params, n_cells=20, gl=gl, gr=gr)
             vals = rng.uniform(-2, 2, 21)
-            new = explicit_step(FieldState(grid=grid, values=vals), cfg, table, tails)
+            new = implicit_step(FieldState(grid=grid, values=vals), cfg, table, tails)
             lo = min(vals.min(), gl, gr) - 1e-12
             hi = max(vals.max(), gl, gr) + 1e-12
             assert np.all(new.values >= lo) and np.all(new.values <= hi)
@@ -200,7 +209,7 @@ class TestExplicitStep:
             state = sample_initial(InitialCondition.box(1.0, 0.4, 0.6), grid)
             previous = np.max(np.abs(state.values))
             for _ in range(25):
-                state = explicit_step(state, cfg, table, tails)
+                state = implicit_step(state, cfg, table, tails)
                 current = np.max(np.abs(state.values))
                 assert current <= previous + 1e-14
                 previous = current
@@ -235,7 +244,7 @@ class TestAssembleSystem:
         cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt, sigma=0.0)
         table = weight_table(params, -7, 7)
         state = FieldState(grid=grid, values=np.zeros(9))
-        a = assemble_system(state, cfg, table, tail_sums(params)).matrix
+        a = assemble_system(state, cfg, table, TailSums(params)).matrix
         lam = dt / grid.h**2
         for i in range(1, 8):
             assert a[i, i] == pytest.approx(1.0 + 2.0 * lam, rel=1e-15)
@@ -253,7 +262,7 @@ class TestAssembleSystem:
         cfg = SchemeConfig(params=params, k_alpha=1.3, dt=dt, sigma=0.5,
                            bc_left=BoundarySpec.constant(gl), bc_right=BoundarySpec.constant(gr))
         table = weight_table(params, -(n - 1), n - 1)
-        tails = tail_sums(params)
+        tails = TailSums(params)
         vals = rng.uniform(-1, 1, n + 1)
         state = FieldState(grid=grid, values=vals)
         system = assemble_system(state, cfg, table, tails)
@@ -273,8 +282,8 @@ class TestAssembleSystem:
         for j in range(1, n):
             window = sum(vals[j + k] * weight(k, params) for k in range(-j, n - j + 1))
             rhs[j] = vals[j] + r * (
-                gl * tail_sum_left(j, params)
-                + gr * tail_sum_right(n - j, params)
+                gl * tails.left(j)
+                + gr * tails.right(n - j)
                 + cfg.sigma * window
             )
         assert np.max(np.abs(system.rhs - rhs)) <= 1e-13
@@ -282,14 +291,21 @@ class TestAssembleSystem:
 
 class TestImplicitStep:
     def test_sigma_one_equals_explicit(self, rng):
+        # C + dt K h^-alpha (W C + g_L s_L + g_R s_R), written out by index
+        n = 14
         for trial in range(10):
             params = sample_params(1, seed=300 + trial)[0]
             gl, gr = rng.uniform(-1, 1, 2)
-            grid, cfg, table, tails = make_setup(params, n_cells=14, gl=gl, gr=gr, sigma=1.0)
-            state = FieldState(grid=grid, values=rng.uniform(-1, 1, 15))
-            explicit = explicit_step(state, cfg, table, tails)
-            implicit = implicit_step(state, cfg, table, tails)
-            assert np.max(np.abs(explicit.values - implicit.values)) <= 1e-12
+            grid, cfg, table, tails = make_setup(params, n_cells=n, gl=gl, gr=gr, sigma=1.0)
+            vals = rng.uniform(-1, 1, n + 1)
+            new = implicit_step(FieldState(grid=grid, values=vals), cfg, table, tails)
+            expected = np.empty(n + 1)
+            expected[0], expected[n] = gl, gr
+            for j in range(1, n):
+                window = sum(vals[j + k] * weight(k, params) for k in range(-j, n - j + 1))
+                op = window + gl * tails.left(j) + gr * tails.right(n - j)
+                expected[j] = vals[j] + cfg.dt * cfg.k_alpha * op / grid.h**params.alpha
+            assert np.max(np.abs(new.values - expected)) <= 1e-12
 
     def test_zero_field_zero_boundaries(self):
         for sigma in (0.0, 0.5, 1.0):
@@ -325,7 +341,7 @@ class TestImplicitStep:
                            bc_left=spec, bc_right=spec)
         table = weight_table(params, -7, 7)
         state = FieldState(grid=grid, values=np.zeros(9))
-        new = implicit_step(state, cfg, table, tail_sums(params))
+        new = implicit_step(state, cfg, table, TailSums(params))
         assert new.values[0] == pytest.approx(0.05, abs=1e-15)
         assert new.values[-1] == pytest.approx(0.05, abs=1e-15)
         assert new.values[0] == boundary_at_half_step(spec, 0.1, 0)

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+import rieszfd.schemes
+import rieszfd.simulate
 from rieszfd import (
     AnalyticKernel,
     BoundarySpec,
@@ -38,20 +42,25 @@ def small_config(alpha=1.5, theta=0.0, sigma=1.0, t_end=0.1, snapshots=(), polic
 
 class TestConfig:
     def test_t_end_positive(self):
-        with pytest.raises(ConfigInvalid):
-            small_config(t_end=0.0)
+        for t_end in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigInvalid):
+                small_config(t_end=t_end)
 
     def test_snapshots_inside_horizon(self):
         with pytest.raises(ConfigInvalid):
             small_config(snapshots=(0.5,), t_end=0.1)
         with pytest.raises(ConfigInvalid):
             small_config(snapshots=(-0.1,))
+        with pytest.raises(ConfigInvalid):
+            small_config(snapshots=(math.nan,))
 
     def test_policy_validation(self):
         with pytest.raises(ConfigInvalid):
             DtPolicy.auto(1.5)
         with pytest.raises(ConfigInvalid):
             DtPolicy.fixed(-1.0)
+        with pytest.raises(ConfigInvalid):
+            DtPolicy.fixed(math.inf)
 
 
 class TestResolveDt:
@@ -70,7 +79,8 @@ class TestResolveDt:
             assert abs(steps - round(steps)) <= 1e-9
 
     def test_fixed_policy_single_step(self):
-        cfg = small_config(policy=DtPolicy.fixed(0.5), t_end=0.1)
+        # implicit, so the step may exceed the explicit bound
+        cfg = small_config(policy=DtPolicy.fixed(0.5), t_end=0.1, sigma=0.0)
         dt, n = resolve_dt(cfg)
         assert dt == 0.5 and n == 1
 
@@ -137,6 +147,16 @@ class TestRun:
         series = run(cfg)
         peaks = [np.max(np.abs(s.values)) for s in series.snapshots]
         assert all(b <= a + 1e-14 for a, b in zip(peaks, peaks[1:]))
+
+    def test_explicit_run_factors_and_solves_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an explicit run needs no factorization or solve")
+
+        for module, name in ((rieszfd.simulate, "lu_factor"), (rieszfd.schemes, "lu_factor"),
+                             (rieszfd.schemes, "lu_solve")):
+            monkeypatch.setattr(module, name, refuse)
+        series = run(small_config(alpha=1.3, theta=0.2, gl=0.5, t_end=0.02))
+        assert np.all(np.isfinite(series.snapshots[-1].values))
 
     def test_config_hash_distinguishes_configs(self):
         a = run(small_config(alpha=1.5, t_end=0.01))
