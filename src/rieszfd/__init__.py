@@ -57,7 +57,6 @@ from .grid import (
 )
 from .kernel import (
     FractionalParams,
-    RfCoefficients,
     TailSums,
     WeightTable,
     rf_coefficients,
@@ -75,12 +74,10 @@ from .oracles import (
     weight_oracle,
 )
 from .schemes import (
-    LinearSystem,
     SchemeConfig,
     assemble_system,
     implicit_step,
     max_stable_dt,
-    p_coefficient,
     rf_apply_bounded,
 )
 from .simulate import (
@@ -109,12 +106,10 @@ __all__ = [
     "Grid1D",
     "InitialCondition",
     "LUFactorization",
-    "LinearSystem",
     "NoSuchSnapshot",
     "NonpositiveTime",
     "OutOfRangeAlpha",
     "ParseError",
-    "RfCoefficients",
     "SchemeConfig",
     "SimulationConfig",
     "SingularMatrix",
@@ -137,7 +132,6 @@ __all__ = [
     "lu_solve",
     "mass",
     "max_stable_dt",
-    "p_coefficient",
     "resolve_dt",
     "rf_apply_bounded",
     "rf_coefficients",

@@ -16,7 +16,7 @@ from ._version import __version__
 from .config import build_manifest, output_directory, parse_config, write_manifest
 from .errors import ValidationError
 from .grid import FieldState
-from .kernel import validate_params, weight
+from .kernel import validate_params, weight_table
 from .oracles import convergence_study
 from .schemes import max_stable_dt
 from .simulate import run
@@ -51,8 +51,11 @@ def read_profile_csv(path) -> tuple[list[float], list[float]]:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValidationError(f"{path}:{line_no}: expected 'x,C' row, got {line!r}")
-            xs.append(float(parts[0]))
-            values.append(float(parts[1]))
+            try:
+                xs.append(float(parts[0]))
+                values.append(float(parts[1]))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{line_no}: {exc}") from exc
     return xs, values
 
 
@@ -102,9 +105,10 @@ def _cmd_weights(args) -> int:
     params = validate_params(args.alpha, args.theta)
     if args.kmax < 0:
         raise ValidationError(f"--kmax must be >= 0, got {args.kmax}")
+    table = weight_table(params, -args.kmax, args.kmax)
     print("k,w")
-    for k in range(-args.kmax, args.kmax + 1):
-        print(f"{k},{_fmt(weight(k, params))}")
+    for k, w in zip(range(-args.kmax, args.kmax + 1), table.weights):
+        print(f"{k},{_fmt(w)}")
     return 0
 
 

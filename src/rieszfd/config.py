@@ -85,6 +85,23 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
         raise UnknownKey(f"unknown key(s): {names}")
 
 
+def _build(path: str, make, *args):
+    """make(*args), with a ValueError reported as invalid input at ``path``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from exc
+
+
+def _pairs(points, path: str, first: str) -> list[tuple[float, float]]:
+    if not isinstance(points, list) or not all(isinstance(p, list) and len(p) == 2 for p in points):
+        raise ConfigInvalid(f"{path}: expected a list of [{first}, value] pairs")
+    return [
+        (_number(a, f"{path}[{i}][0]"), _number(v, f"{path}[{i}][1]"))
+        for i, (a, v) in enumerate(points)
+    ]
+
+
 def _parse_initial(node, base_dir: Path | None) -> InitialCondition:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigInvalid("initial: expected an object with a 'kind' field")
@@ -97,7 +114,8 @@ def _parse_initial(node, base_dir: Path | None) -> InitialCondition:
         for key in ("value", "from", "to"):
             if key not in node:
                 raise ConfigInvalid(f"initial.{key}: required for box initial condition")
-        return InitialCondition.box(node["value"], node["from"], node["to"])
+        box = [_number(node[key], f"initial.{key}") for key in ("value", "from", "to")]
+        return _build("initial", InitialCondition.box, *box)
     if kind == "csv":
         _check_keys(node, {"kind", "path"}, "initial")
         if "path" not in node:
@@ -108,14 +126,13 @@ def _parse_initial(node, base_dir: Path | None) -> InitialCondition:
         from .cli import read_profile_csv  # deferred: cli owns the file format
 
         xs, values = read_profile_csv(path)
-        return InitialCondition.tabulated(xs, values)
-    if kind == "tabulated":
+    elif kind == "tabulated":
         _check_keys(node, {"kind", "points"}, "initial")
-        points = node.get("points")
-        if not isinstance(points, list):
-            raise ConfigInvalid("initial.points: expected a list of [x, value] pairs")
-        return InitialCondition.tabulated([p[0] for p in points], [p[1] for p in points])
-    raise ConfigInvalid(f"initial.kind: unknown kind {kind!r}")
+        pairs = _pairs(node.get("points"), "initial.points", "x")
+        xs, values = [x for x, _ in pairs], [v for _, v in pairs]
+    else:
+        raise ConfigInvalid(f"initial.kind: unknown kind {kind!r}")
+    return _build("initial", InitialCondition.tabulated, xs, values)
 
 
 def _parse_boundary(node, path: str) -> BoundarySpec:
@@ -128,16 +145,12 @@ def _parse_boundary(node, path: str) -> BoundarySpec:
         _check_keys(node, {"kind", "value"}, path)
         if "value" not in node:
             raise ConfigInvalid(f"{path}.value: required for constant boundary")
-        return BoundarySpec.constant(node["value"])
+        value = _number(node["value"], f"{path}.value")
+        return _build(f"{path}.value", BoundarySpec.constant, value)
     if kind == "table":
         _check_keys(node, {"kind", "points"}, path)
-        points = node.get("points")
-        if not isinstance(points, list):
-            raise ConfigInvalid(f"{path}.points: expected a list of [t, value] pairs")
-        try:
-            return BoundarySpec.time_table([(p[0], p[1]) for p in points])
-        except ValueError as exc:
-            raise ConfigInvalid(f"{path}.points: {exc}") from exc
+        points = _pairs(node.get("points"), f"{path}.points", "t")
+        return _build(f"{path}.points", BoundarySpec.time_table, points)
     raise ConfigInvalid(f"{path}.kind: unknown kind {kind!r}")
 
 

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BoxOutOfDomain, DegenerateDomain, DeltaNeedsEvenN
+from .errors import BoxOutOfDomain, ConfigInvalid, DegenerateDomain, DeltaNeedsEvenN
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,15 @@ def build_grid(left: float, right: float, n_cells: int) -> Grid1D:
     if n_cells < 2:
         raise DegenerateDomain(f"need at least 2 cells, got {n_cells}")
     return Grid1D(float(left), float(right), int(n_cells))
+
+
+def _finite(what: str, values) -> tuple[float, ...]:
+    """The values as floats; raises ConfigInvalid if any is NaN or infinite."""
+    out = tuple(float(v) for v in values)
+    for v in out:
+        if not math.isfinite(v):
+            raise ConfigInvalid(f"{what} must be finite, got {v}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -95,12 +104,13 @@ class InitialCondition:
 
     @classmethod
     def box(cls, value: float, x_from: float, x_to: float) -> "InitialCondition":
-        return cls(kind="box", box_value=float(value), box_from=float(x_from), box_to=float(x_to))
+        value, x_from, x_to = _finite("box value and bounds", (value, x_from, x_to))
+        return cls(kind="box", box_value=value, box_from=x_from, box_to=x_to)
 
     @classmethod
     def tabulated(cls, xs: Sequence[float], values: Sequence[float]) -> "InitialCondition":
-        xs = tuple(float(x) for x in xs)
-        values = tuple(float(v) for v in values)
+        xs = _finite("tabulated x values", xs)
+        values = _finite("tabulated initial values", values)
         if len(xs) != len(values) or len(xs) < 2:
             raise ValueError("tabulated initial condition needs >= 2 (x, value) pairs")
         if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -150,17 +160,19 @@ class BoundarySpec:
 
     @classmethod
     def constant(cls, value: float) -> "BoundarySpec":
-        return cls(kind="constant", value=float(value))
+        (value,) = _finite("boundary value", (value,))
+        return cls(kind="constant", value=value)
 
     @classmethod
     def time_table(cls, points: Sequence[tuple[float, float]]) -> "BoundarySpec":
-        pts = [(float(t), float(v)) for t, v in points]
-        if len(pts) < 2:
+        pts = list(points)
+        ts = _finite("time table times", (t for t, _ in pts))
+        vs = _finite("time table values", (v for _, v in pts))
+        if len(ts) < 2:
             raise ValueError("time table needs >= 2 points")
-        ts = tuple(t for t, _ in pts)
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("time table must be strictly increasing in t")
-        return cls(kind="time_table", table_t=ts, table_v=tuple(v for _, v in pts))
+        return cls(kind="time_table", table_t=ts, table_v=vs)
 
     def at(self, t: float) -> float:
         if self.kind == "constant":

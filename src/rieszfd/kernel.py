@@ -7,15 +7,25 @@ alpha != 1) and skewness ``theta`` is discretized on a uniform grid as
 
 with dimensionless stencil weights ``w_k`` that decay like ``|k|**(-1-alpha)``.
 This module provides the parameter validation, the left/right trigonometric
-splitting coefficients, the weights themselves, and closed-form sums of all
-weights beyond a cutoff index (used to fold Dirichlet boundary values into
-interior nodes on a bounded domain).
+splitting coefficients c_L and c_R, the weights themselves, and closed-form
+sums of all weights beyond a cutoff index (used to fold Dirichlet boundary
+values into interior nodes on a bounded domain).
 
-Two formula branches exist: ``alpha < 1`` blends one-sided and central
-first-derivative stencils with weight ``lambda1 = alpha - |theta|``, and
-``alpha > 1`` blends central and four-point one-sided second-derivative
-stencils with ``lambda2 = 2 - (alpha + |theta|)``.  Both produce finite
-weights as ``alpha -> 1``, which is the point of the construction.
+Every weight follows one law per branch.  With L(q) = sum_d coeff_d *
+(q + d)**b, powers of nonpositive bases taken as 0, and
+pref = -1 / (2 Gamma(1 + b)):
+
+    w_0 = pref * (c_L + c_R) * L(0)
+    w_q = pref * (c_R * L(q) + [q = 1] * cross * c_L),  and w_{-q} mirrored
+
+On ``alpha < 1`` (b = 1 - alpha) the terms blend one-sided and central
+first-derivative stencils with ``lambda1 = alpha - |theta|``, cross =
+lambda1; on ``alpha > 1`` (b = 2 - alpha) central and four-point one-sided
+second-derivative stencils with ``lambda2 = 2 - (alpha + |theta|)``,
+cross = 2 - lambda2.  Both give finite weights as ``alpha -> 1``, which is
+the point of the construction.  Each law's coefficients sum to zero, so a
+tail sum over q >= j+1 telescopes to a few powers of j + d whose
+coefficients are cumulative sums of the same terms.
 """
 
 from __future__ import annotations
@@ -120,85 +130,47 @@ def rf_coefficients(params: FractionalParams) -> RfCoefficients:
     return RfCoefficients(c_left, c_right, None, lam)
 
 
-def _pow0(base: float, expo: float) -> float:
-    """base**expo with the convention 0**p = 0 for every p >= 0.
+def _law(params: FractionalParams):
+    """(coefficients, b, pref, cross, (shift, coeff) terms) of the branch's
+    weight law; see the module docstring."""
+    a = params.alpha
+    c = rf_coefficients(params)
+    if params.sub_one:
+        lam, top, cross = c.lambda1, 1.0, c.lambda1
+        terms = ((2, lam), (1, 2.0 - 3.0 * lam), (0, 3.0 * lam - 4.0), (-1, 2.0 - lam))
+    else:
+        lam, top, cross = c.lambda2, 2.0, 2.0 - c.lambda2
+        terms = ((2, 2.0 - lam), (1, 4.0 * lam - 6.0), (0, 6.0 - 6.0 * lam),
+                 (-1, 4.0 * lam - 2.0), (-2, -lam))
+    pref = -1.0 / (2.0 * math.gamma(top + 1.0 - a))
+    return c, top - a, pref, cross, terms
 
-    The defining cell integrals vanish on empty cells, so index-zero terms
-    drop out even when the exponent itself is zero (alpha = 2).
+
+def _powers(bases: np.ndarray, b: float) -> np.ndarray:
+    """bases**b, and 0 where a base is nonpositive (also at b = 0, alpha = 2).
+
+    The defining cell integrals vanish on empty cells.  ``float_power``
+    calls the C library's pow like ``float ** float`` does, where
+    ``power`` may take a SIMD path that differs in the last bit.
     """
-    return 0.0 if base == 0.0 else base**expo
+    return np.float_power(bases, b, out=np.zeros_like(bases), where=bases > 0.0)
 
 
-def _sub_one_weight(k: int, a: float, lam: float, cl: float, cr: float) -> float:
-    # five-case table for 0 < alpha < 1; b = 1 - alpha
-    b = 1.0 - a
-    pref = -1.0 / (2.0 * math.gamma(2.0 - a))
-    if k <= -2:
-        q = float(abs(k))
-        expr = (
-            (q + 2.0) ** b * lam
-            + (q + 1.0) ** b * (2.0 - 3.0 * lam)
-            + q**b * (3.0 * lam - 4.0)
-            + (q - 1.0) ** b * (2.0 - lam)
-        ) * cl
-    elif k == -1:
-        expr = (3.0**b * lam + 2.0**b * (2.0 - 3.0 * lam) + 3.0 * lam - 4.0) * cl + lam * cr
-    elif k == 0:
-        expr = (2.0**b * lam - 3.0 * lam + 2.0) * (cl + cr)
-    elif k == 1:
-        expr = (3.0**b * lam + 2.0**b * (2.0 - 3.0 * lam) + 3.0 * lam - 4.0) * cr + lam * cl
-    else:
-        q = float(k)
-        expr = (
-            (q + 2.0) ** b * lam
-            + (q + 1.0) ** b * (2.0 - 3.0 * lam)
-            + q**b * (3.0 * lam - 4.0)
-            + (q - 1.0) ** b * (2.0 - lam)
-        ) * cr
-    return pref * expr
-
-
-def _super_one_weight(k: int, a: float, lam: float, cl: float, cr: float) -> float:
-    # five-case table for 1 < alpha <= 2; b = 2 - alpha
-    b = 2.0 - a
-    pref = -1.0 / (2.0 * math.gamma(3.0 - a))
-    if k <= -2:
-        q = float(abs(k))
-        expr = (
-            (q + 2.0) ** b * (2.0 - lam)
-            + (q + 1.0) ** b * (4.0 * lam - 6.0)
-            + q**b * (6.0 - 6.0 * lam)
-            + (q - 1.0) ** b * (4.0 * lam - 2.0)
-            + _pow0(q - 2.0, b) * (-lam)
-        ) * cl
-    elif k == -1:
-        expr = (
-            3.0**b * (2.0 - lam) + 2.0**b * (4.0 * lam - 6.0) - 6.0 * lam + 6.0
-        ) * cl + (2.0 - lam) * cr
-    elif k == 0:
-        expr = (2.0**b * (2.0 - lam) + 4.0 * lam - 6.0) * (cl + cr)
-    elif k == 1:
-        expr = (
-            3.0**b * (2.0 - lam) + 2.0**b * (4.0 * lam - 6.0) - 6.0 * lam + 6.0
-        ) * cr + (2.0 - lam) * cl
-    else:
-        q = float(k)
-        expr = (
-            (q + 2.0) ** b * (2.0 - lam)
-            + (q + 1.0) ** b * (4.0 * lam - 6.0)
-            + q**b * (6.0 - 6.0 * lam)
-            + (q - 1.0) ** b * (4.0 * lam - 2.0)
-            + _pow0(q - 2.0, b) * (-lam)
-        ) * cr
-    return pref * expr
+def _weights(ks: np.ndarray, params: FractionalParams) -> np.ndarray:
+    """w_k for every integer offset in ``ks``, from the one law."""
+    c, b, pref, cross, terms = _law(params)
+    q = np.abs(ks).astype(float)
+    law = sum(coeff * _powers(q + shift, b) for shift, coeff in terms)
+    side = np.where(ks < 0, c.c_left, np.where(ks > 0, c.c_right, c.c_left + c.c_right))
+    other = np.where(ks < 0, c.c_right, c.c_left)
+    expr = law * side
+    # the cross term goes only where it applies: adding 0.0 would turn -0.0 into 0.0
+    return pref * np.where(q == 1, expr + cross * other, expr)
 
 
 def weight(k: int, params: FractionalParams) -> float:
     """Dimensionless stencil weight w_k (scale by h**-alpha on application)."""
-    c = rf_coefficients(params)
-    if params.sub_one:
-        return _sub_one_weight(int(k), params.alpha, c.lambda1, c.c_left, c.c_right)
-    return _super_one_weight(int(k), params.alpha, c.lambda2, c.c_left, c.c_right)
+    return float(_weights(np.array([int(k)]), params)[0])
 
 
 @dataclass(frozen=True)
@@ -248,34 +220,25 @@ def weight_table(params: FractionalParams, k_min: int, k_max: int) -> WeightTabl
     """Tabulate w_k for k_min <= k <= k_max (k_min <= 0 <= k_max)."""
     if k_min > 0 or k_max < 0:
         raise ValueError(f"window [{k_min}, {k_max}] must contain 0")
-    values = np.array([weight(k, params) for k in range(k_min, k_max + 1)])
+    values = _weights(np.arange(k_min, k_max + 1), params)
     values.setflags(write=False)
     return WeightTable(params, int(k_min), int(k_max), values)
 
 
 def _tail_core(j: np.ndarray, params: FractionalParams) -> np.ndarray:
-    """Shared radial factor of the one-sided tail sums (side coefficient excluded)."""
-    a = params.alpha
-    coeffs = rf_coefficients(params)
-    if params.sub_one:
-        lam = coeffs.lambda1
-        b = 1.0 - a
-        num = (
-            (j + 2.0) ** b * lam
-            + (j + 1.0) ** b * (2.0 - 2.0 * lam)
-            + j**b * (lam - 2.0)
-        )
-        return num / (2.0 * math.gamma(2.0 - a))
-    lam = coeffs.lambda2
-    b = 2.0 - a
-    jm1 = j - 1.0
-    num = (
-        (j + 2.0) ** b * (2.0 - lam)
-        + (j + 1.0) ** b * (3.0 * lam - 4.0)
-        + j**b * (2.0 - 3.0 * lam)
-        + np.where(jm1 > 0.0, jm1, 1.0) ** b * np.where(jm1 > 0.0, lam, 0.0)
-    )
-    return num / (2.0 * math.gamma(3.0 - a))
+    """Shared radial factor of the one-sided tail sums (side coefficient excluded).
+
+    The sum of L(q) over q >= j+1 is -sum_e C_e * (j+e)**b, with C_e the sum
+    of the coefficients of shift >= e.  The smallest shift is skipped: its
+    C_e, the sum of all coefficients, is zero.
+    """
+    _, b, pref, _, terms = _law(params)
+    acc = np.zeros_like(j)
+    cumulative = 0.0
+    for shift, coeff in terms[:-1]:
+        cumulative += coeff
+        acc += cumulative * _powers(j + shift, b)
+    return -pref * acc
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ to check.  The weight oracle rebuilds stencil weights from the defining
 cell-integral decomposition term by term; the tail oracle sums the weight
 law directly and corrects the truncation with a midpoint-rule integral;
 the stability bound is re-derived through its per-branch expression.
+``p_coefficient`` is the exception: it scales the closed-form weights into
+the explicit update coefficients whose sum the identity checks test.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, NonpositiveTime
-from .kernel import FractionalParams, rf_coefficients
+from .kernel import FractionalParams, rf_coefficients, weight
+from .schemes import SchemeConfig
 from .simulate import SimulationConfig, run, snapshot_error
 
 GAUSS = "gauss_alpha2"
@@ -209,6 +212,14 @@ def stability_bound_split(params: FractionalParams, k_alpha: float, h: float) ->
         return lead * math.gamma(2.0 - a) / (2.0 ** (1.0 - a) * lam - 3.0 * lam + 2.0)
     lam = c.lambda2
     return lead * math.gamma(3.0 - a) / (2.0 ** (2.0 - a) * (2.0 - lam) + 4.0 * lam - 6.0)
+
+
+def p_coefficient(k: int, cfg: SchemeConfig, h: float) -> float:
+    """Explicit update coefficient: 1 + r*w_0 at k = 0, r*w_k otherwise,
+    with r = k_alpha * dt / h**alpha."""
+    r = cfg.k_alpha * cfg._require_dt() / h**cfg.params.alpha
+    w = weight(int(k), cfg.params)
+    return 1.0 + r * w if k == 0 else r * w
 
 
 def reference_kernel_for(params: FractionalParams, k_alpha: float) -> AnalyticKernel:

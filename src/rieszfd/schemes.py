@@ -67,14 +67,6 @@ def max_stable_dt(params: FractionalParams, k_alpha: float, h: float) -> float:
     return -(h**params.alpha) / (k_alpha * weight(0, params))
 
 
-def p_coefficient(k: int, cfg: SchemeConfig, h: float) -> float:
-    """Explicit update coefficient: 1 + r*w_0 at k = 0, r*w_k otherwise,
-    with r = k_alpha * dt / h**alpha."""
-    r = cfg.k_alpha * cfg._require_dt() / h**cfg.params.alpha
-    w = weight(int(k), cfg.params)
-    return 1.0 + r * w if k == 0 else r * w
-
-
 def rf_apply_bounded(
     state: FieldState,
     g_left: float,

@@ -19,11 +19,12 @@ from .oracles import (
     CAUCHY,
     GAUSS,
     kernel_eval,
+    p_coefficient,
     stability_bound_split,
     tail_oracle,
     weight_oracle,
 )
-from .schemes import SchemeConfig, max_stable_dt, p_coefficient
+from .schemes import SchemeConfig, max_stable_dt
 from .simulate import DtPolicy, SimulationConfig, run, snapshot_error
 
 # frozen 6-decimal reference weights for theta = 0; the near-1 column is a

@@ -22,7 +22,6 @@ from rieszfd import (
     implicit_step,
     mass,
     max_stable_dt,
-    p_coefficient,
     run,
     sample_initial,
     snapshot_error,
@@ -33,6 +32,7 @@ from rieszfd import (
     weight_oracle,
     weight_table,
 )
+from rieszfd.oracles import p_coefficient
 from conftest import sample_params
 
 # frozen 6-decimal reference weights, theta = 0

@@ -11,6 +11,8 @@ from rieszfd import (
     UnknownKey,
     build_grid,
     sample_initial,
+    validate_params,
+    weight,
 )
 from rieszfd.cli import main, read_profile_csv, write_snapshot_csv
 from rieszfd.config import (
@@ -216,7 +218,8 @@ class TestSnapshotCsv:
             read_profile_csv(bad)
 
 
-# config entries that are not finite numbers; each names the offending key
+# config entries that are not finite numbers or malformed; each names the
+# offending key
 NON_FINITE_INPUTS = [
     pytest.param({"domain": [-float("inf"), 1.0]}, "domain", id="domain-inf"),
     pytest.param({"domain": ["a", 1.0]}, "domain", id="domain-text"),
@@ -224,6 +227,20 @@ NON_FINITE_INPUTS = [
     pytest.param({"k_alpha": float("inf")}, "diffusion coefficient", id="k_alpha-inf"),
     pytest.param({"dt": float("inf")}, "dt", id="dt-inf"),
     pytest.param({"snapshots": [float("nan")]}, "snapshot", id="snapshot-nan"),
+    pytest.param({"bc_left": {"kind": "constant", "value": float("inf")}}, "bc_left.value",
+                 id="bc-constant-inf"),
+    pytest.param({"bc_right": {"kind": "table", "points": [[0.0, 0.0], [1.0, float("nan")]]}},
+                 "bc_right.points", id="bc-table-nan"),
+    pytest.param({"initial": {"kind": "box", "value": float("nan"), "from": -1.0, "to": 1.0}},
+                 "initial", id="box-value-nan"),
+    pytest.param({"initial": {"kind": "box", "value": "a", "from": -1.0, "to": 1.0}},
+                 "initial.value", id="box-value-text"),
+    pytest.param({"initial": {"kind": "tabulated", "points": [[-1.0, 0.0], [1.0, float("inf")]]}},
+                 "initial", id="tabulated-inf"),
+    pytest.param({"initial": {"kind": "tabulated", "points": [[0.0, 1.0]]}}, "initial",
+                 id="tabulated-one-point"),
+    pytest.param({"initial": {"kind": "tabulated", "points": [[1.0, 0.0], [-1.0, 1.0]]}},
+                 "initial", id="tabulated-decreasing"),
 ]
 
 
@@ -244,6 +261,13 @@ class TestCli:
         for k, ref in {0: -1.498970, 1: 0.574964, 2: 0.125442, 5: 0.005125}.items():
             assert rows[k] == pytest.approx(ref, abs=1e-6)
             assert rows[-k] == pytest.approx(ref, abs=1e-6)
+        # the command prints one weight table; its rows equal per-k weight() calls byte for byte
+        for alpha, theta in ((1.5, 0.0), (0.7, -0.4), (1.2, 0.8)):
+            argv = ["weights", "--alpha", str(alpha), "--theta", str(theta), "--kmax", "30"]
+            assert main(argv) == 0
+            params = validate_params(alpha, theta)
+            expected = ["k,w"] + [f"{k},{weight(k, params):.17g}" for k in range(-30, 31)]
+            assert capsys.readouterr().out.splitlines() == expected
 
     def test_stability_value(self, capsys):
         assert main(["stability", "--alpha", "2", "--theta", "0", "--k-alpha", "1",
@@ -297,6 +321,14 @@ class TestCli:
         assert main(["simulate", "--config", str(config_path), "--out", str(target)]) == 2
         assert key in capsys.readouterr().err
         assert not (target / "manifest.json").exists()
+
+    @pytest.mark.parametrize("row, key", [("0.5,a", "ic.csv:3"), ("0.5,nan", "initial")])
+    def test_simulate_invalid_csv_initial_exits_2(self, tmp_path, capsys, row, key):
+        (tmp_path / "ic.csv").write_text(f"x,C\n-1,0\n{row}\n1,0\n")
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(tiny_document(initial={"kind": "csv", "path": "ic.csv"})))
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
 
     def test_verify_table_suite(self, capsys):
         assert main(["verify", "--suite", "table1"]) == 0

@@ -1,0 +1,114 @@
+"""Property tests of the stencil weights and tail sums over the whole valid
+(alpha, theta) domain, extreme skew and orders near 1 included.
+
+A weight or tail that is exactly zero (alpha = 2, or the far side at
+extreme skew) comes out of sums of O(1) terms, so the sign and order checks
+allow a rounding error of 8 ulps of the largest weight.  The examples are
+drawn deterministically so that every run checks the same cases.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from rieszfd import TailSums, validate_params, weight, weight_table
+from rieszfd.kernel import DEFAULT_ALPHA_ONE_GUARD
+
+# orders anywhere in (0, 2], plus a band on both sides of the guard around 1
+_ALPHAS = st.one_of(
+    st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+    st.builds(
+        lambda d, sign: 1.0 + sign * d,
+        st.floats(DEFAULT_ALPHA_ONE_GUARD, 1e-2),
+        st.sampled_from((-1.0, 1.0)),
+    ),
+).filter(lambda a: abs(a - 1.0) >= DEFAULT_ALPHA_ONE_GUARD)
+# skew as a share of its bound min(alpha, 2 - alpha); +-1 is one-sided
+_SHARES = st.one_of(st.sampled_from((-1.0, 0.0, 1.0)), st.floats(-1.0, 1.0))
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+# cases found by a wider search: far-field weights are small differences of
+# O(q**b) powers, and near alpha = 1 and 0 the cancellation leaves rounding
+# errors larger than the weights
+NEAR_ONE = ((1.0000011, 0.0), 2000)
+NEAR_ZERO = ((1e-12, -1e-12), 122)
+
+
+@st.composite
+def cases(draw):
+    """A valid (alpha, theta) pair and a window half-width as a grid uses."""
+    alpha = draw(_ALPHAS)
+    theta = draw(_SHARES) * min(alpha, 2.0 - alpha)
+    return (alpha, theta), draw(st.integers(2, 2000))
+
+
+def _rounding(weights):
+    return 8.0 * np.finfo(float).eps * np.max(np.abs(weights))
+
+
+def _tables(case):
+    (alpha, theta), n = case
+    params = validate_params(alpha, theta)
+    tails = TailSums(params)
+    js = np.arange(1, n + 1)
+    return params, weight_table(params, -n, n).weights, tails.left(js), tails.right(js)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="far-field weights lose their sign to cancellation (ROADMAP item 3)",
+)
+@PROPERTY_SETTINGS
+@given(cases())
+@example(NEAR_ONE)
+@example(NEAR_ZERO)
+def test_off_centre_weights_are_nonnegative(case):
+    _, w, _, _ = _tables(case)
+    n = case[1]
+    assert np.all(np.delete(w, n) >= -_rounding(w))
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_tails_are_nonnegative(case):
+    _, w, left, right = _tables(case)
+    assert np.all(left >= -_rounding(w)) and np.all(right >= -_rounding(w))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="far-field tails lose their order to cancellation (ROADMAP item 3)",
+)
+@PROPERTY_SETTINGS
+@given(cases())
+@example(NEAR_ONE)
+@example(NEAR_ZERO)
+def test_tails_are_nonincreasing(case):
+    _, w, left, right = _tables(case)
+    assert np.all(np.diff(left) <= _rounding(w)) and np.all(np.diff(right) <= _rounding(w))
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.data())
+def test_scalar_weight_equals_table_entry(case, data):
+    params, w, _, _ = _tables(case)
+    n = case[1]
+    for k in data.draw(st.lists(st.integers(-n, n), min_size=1, max_size=20)) + [-1, 0, 1]:
+        assert weight(k, params) == w[k + n]
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_tails_telescope_into_the_weights(case):
+    # right(j) - right(j+1) = w_{j+1} and left(j) - left(j+1) = w_{-j-1}.  Near
+    # alpha = 1 the side coefficients grow like 1/|1 - alpha| while the weights
+    # stay O(1), and the rounding of the closed forms grows with them: the
+    # tolerance is 1e-12 * max|w| * max(1, 1/|1 - alpha|).
+    params, w, left, right = _tables(case)
+    n = case[1]
+    tol = 1e-12 * np.max(np.abs(w)) * max(1.0, 1.0 / abs(1.0 - params.alpha))
+    assert np.max(np.abs(-np.diff(right) - w[n + 2 :])) <= tol
+    assert np.max(np.abs(-np.diff(left) - w[: n - 1][::-1])) <= tol

@@ -19,7 +19,6 @@ from rieszfd import (
     lu_factor,
     mass,
     max_stable_dt,
-    p_coefficient,
     rf_apply_bounded,
     run,
     sample_initial,
@@ -28,6 +27,7 @@ from rieszfd import (
     weight,
     weight_table,
 )
+from rieszfd.oracles import p_coefficient
 from conftest import sample_params
 
 
