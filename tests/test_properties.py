@@ -1,5 +1,6 @@
-"""Property tests of the stencil weights and tail sums over the whole valid
-(alpha, theta) domain, extreme skew and orders near 1 included.
+"""Property tests of the stencil weights, the tail sums and the matrix-free
+stencil apply over the whole valid (alpha, theta) domain, extreme skew and
+orders near 1 included.
 
 A weight or tail that is exactly zero (alpha = 2, or the far side at
 extreme skew) comes out of sums of O(1) terms, so the sign and order checks
@@ -35,12 +36,22 @@ NEAR_ONE = ((1.0000011, 0.0), 2000)
 NEAR_ZERO = ((1e-12, -1e-12), 122)
 
 
+def _pair(draw):
+    alpha = draw(_ALPHAS)
+    return alpha, draw(_SHARES) * min(alpha, 2.0 - alpha)
+
+
 @st.composite
 def cases(draw):
     """A valid (alpha, theta) pair and a window half-width as a grid uses."""
-    alpha = draw(_ALPHAS)
-    theta = draw(_SHARES) * min(alpha, 2.0 - alpha)
-    return (alpha, theta), draw(st.integers(2, 2000))
+    return _pair(draw), draw(st.integers(2, 2000))
+
+
+@st.composite
+def grids(draw):
+    """A valid (alpha, theta) pair, a cell count N and how far the table
+    window reaches past the N-1 the grid needs."""
+    return _pair(draw), draw(st.integers(2, 300)), draw(st.integers(0, 30))
 
 
 def _rounding(weights):
@@ -112,3 +123,18 @@ def test_tails_telescope_into_the_weights(case):
     tol = 1e-12 * np.max(np.abs(w)) * max(1.0, 1.0 / abs(1.0 - params.alpha))
     assert np.max(np.abs(-np.diff(right) - w[n + 2 :])) <= tol
     assert np.max(np.abs(-np.diff(left) - w[: n - 1][::-1])) <= tol
+
+
+@PROPERTY_SETTINGS
+@given(grids())
+@example(((2.0, 0.0), 2, 0))
+@example(((2.0, 0.0), 3, 5))
+@example(((0.5, 0.5), 3, 0))
+@example(((0.5, -0.5), 40, 3))
+def test_apply_equals_the_dense_product(case):
+    (alpha, theta), n, extra = case
+    table = weight_table(validate_params(alpha, theta), -(n - 1) - extra, n - 1 + extra)
+    u = np.random.default_rng(n).standard_normal(n + 1)
+    dense = table.application_matrix(n)
+    tol = 1e-13 * np.max(np.abs(dense)) * np.max(np.abs(u)) * n
+    assert np.max(np.abs(table.apply(u) - dense @ u)) <= tol

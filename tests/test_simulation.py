@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rieszfd.kernel
 import rieszfd.schemes
 import rieszfd.simulate
 from rieszfd import (
@@ -150,11 +151,12 @@ class TestRun:
 
     def test_explicit_run_factors_and_solves_nothing(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("an explicit run needs no factorization or solve")
+            raise AssertionError("an explicit run needs no dense operator, factorization or solve")
 
-        for module, name in ((rieszfd.simulate, "lu_factor"), (rieszfd.schemes, "lu_factor"),
-                             (rieszfd.schemes, "lu_solve")):
-            monkeypatch.setattr(module, name, refuse)
+        for owner, name in ((rieszfd.simulate, "lu_factor"), (rieszfd.schemes, "lu_factor"),
+                            (rieszfd.schemes, "lu_solve"),
+                            (rieszfd.kernel.WeightTable, "application_matrix")):
+            monkeypatch.setattr(owner, name, refuse)
         series = run(small_config(alpha=1.3, theta=0.2, gl=0.5, t_end=0.02))
         assert np.all(np.isfinite(series.snapshots[-1].values))
 
