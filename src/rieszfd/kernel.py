@@ -183,7 +183,7 @@ class WeightTable:
     interior nodes of an N-cell grid, computed matrix-free in O(N) memory
     and O(N * K) work, K being the reach of the stencil (1 at alpha = 2).
     ``application_matrix`` builds the same operator as a fresh dense matrix
-    on each call, for the implicit system.
+    on each call, for the dense reference system of the tests.
     """
 
     params: FractionalParams

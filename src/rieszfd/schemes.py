@@ -6,7 +6,11 @@ closed-form tail sums (values beyond the domain are held at the nearest
 boundary value).  ``sigma`` blends the time levels: 1 is fully explicit,
 0 fully implicit, anything between is a partially implicit scheme.  A
 single step function, ``implicit_step``, serves every sigma; at sigma = 1
-its system matrix is the identity and it does no solve.  Boundary data is
+its system matrix is the identity and it does no solve.  Below sigma = 1
+the interior system is Toeplitz and is factored once per run
+(``interior_system``), in O(N) memory; each step then solves it in
+O(N log N) work.  The dense system (``assemble_system``) is kept as the
+reference the tests and ``verify`` compare with.  Boundary data is
 evaluated at half steps t = dt*(f + 1/2).
 """
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from .grid import BoundarySpec, FieldState, boundary_at_half_step
 from .kernel import FractionalParams, TailSums, WeightTable, weight
-from .linalg import LUFactorization, lu_factor, lu_solve
+from .linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
 
 
 @dataclass(frozen=True)
@@ -97,9 +101,54 @@ def rf_apply_bounded(
     return acc / state.grid.h ** table.params.alpha
 
 
+def _implicit_ratio(cfg: SchemeConfig, h: float) -> float:
+    """(sigma - 1) K dt / h**alpha, the factor of w_{j-i} in the system."""
+    return (cfg.sigma - 1.0) * cfg.k_alpha * cfg._require_dt() / h**cfg.params.alpha
+
+
+@dataclass(frozen=True)
+class InteriorSystem:
+    """The system of one implicit step on the N-1 interior nodes.
+
+    T[i, j] = delta_ij + ratio * w_{j-i} is Toeplitz; the Dirichlet columns
+    ``left`` = ratio * w_{-i} and ``right`` = ratio * w_{N-i} (i = 1..N-1)
+    move to the right-hand side.  Depends only on (params, k_alpha, dt,
+    sigma, N), so ``run`` builds it once.
+    """
+
+    factorization: ToeplitzFactorization | TridiagonalFactorization
+    left: np.ndarray
+    right: np.ndarray
+
+    def solve(self, rhs: np.ndarray, g_left: float, g_right: float) -> np.ndarray:
+        """Interior values C^{f+1} for the interior right-hand side b."""
+        return self.factorization.solve(rhs - g_left * self.left - g_right * self.right)
+
+
+def interior_system(cfg: SchemeConfig, table: WeightTable, n_cells: int, h: float) -> InteriorSystem:
+    """Factor the interior Toeplitz system once; O(N) memory.
+
+    Its first column and row are read from the weight table, which must
+    cover [-(N-1), N-1].
+    """
+    n = int(n_cells)
+    table._require_window(n)
+    ratio = _implicit_ratio(cfg, h)
+    offsets = np.arange(n)
+    below = ratio * table.weights[-table.k_min - offsets]  # ratio * w_0, w_-1, ..., w_-(N-1)
+    above = ratio * table.weights[-table.k_min + offsets]  # ratio * w_0, w_1, ..., w_(N-1)
+    first_col, first_row = below[:-1].copy(), above[:-1].copy()
+    first_col[0] += 1.0
+    first_row[0] += 1.0
+    left, right = below[1:], above[:0:-1]
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return InteriorSystem(toeplitz_factor(first_col, first_row), left, right)
+
+
 @dataclass(frozen=True)
 class LinearSystem:
-    """Dense system A C = b of one implicit step."""
+    """Dense system A C = b of one implicit step: the test reference."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -108,7 +157,7 @@ class LinearSystem:
 def _assemble_matrix(cfg: SchemeConfig, table: WeightTable, n_cells: int, h: float) -> np.ndarray:
     """A[i, j] = delta_ij + a_{j-i} on interior rows, unit boundary rows."""
     n = n_cells
-    ratio = (cfg.sigma - 1.0) * cfg.k_alpha * cfg._require_dt() / h**cfg.params.alpha
+    ratio = _implicit_ratio(cfg, h)
     a = np.zeros((n + 1, n + 1))
     a[1:-1, :] = ratio * table.application_matrix(n)
     np.fill_diagonal(a, a.diagonal() + 1.0)
@@ -141,7 +190,8 @@ def assemble_system(
     table: WeightTable,
     tails: TailSums,
 ) -> LinearSystem:
-    """Dense matrix and right-hand side for one sigma-weighted step."""
+    """Dense matrix and right-hand side for one sigma-weighted step: the
+    reference the Toeplitz solve of ``implicit_step`` is tested against."""
     dt = cfg._require_dt()
     f = state.step_index
     gl = boundary_at_half_step(cfg.bc_left, dt, f)
@@ -156,15 +206,17 @@ def implicit_step(
     cfg: SchemeConfig,
     table: WeightTable,
     tails: TailSums,
-    factorization: LUFactorization | None = None,
+    system: InteriorSystem | None = None,
 ) -> FieldState:
     """One sigma-weighted step: solve A C^{f+1} = b.
 
     At sigma = 1 the matrix A is the identity, so the step is the explicit
     update b itself and nothing is factored or solved.  Otherwise A depends
-    only on (params, k_alpha, dt, sigma, N): pass the factorization in when
-    stepping repeatedly so A is factored once.  The step does not compare
-    dt with the explicit bound; ``run`` does that once, when it resolves dt.
+    only on (params, k_alpha, dt, sigma, N): pass the ``interior_system``
+    in when stepping repeatedly so it is factored once.  The boundary
+    nodes take the prescribed values, not solved ones.  The step does not
+    compare dt with the explicit bound; ``run`` does that once, when it
+    resolves dt.
     """
     dt = cfg._require_dt()
     f = state.step_index
@@ -172,12 +224,7 @@ def implicit_step(
     gr = boundary_at_half_step(cfg.bc_right, dt, f)
     new = _assemble_rhs(state, cfg, table, tails, gl, gr)
     if cfg.sigma != 1.0:
-        if factorization is None:
-            n, h = state.grid.n_cells, state.grid.h
-            factorization = lu_factor(_assemble_matrix(cfg, table, n, h))
-        new = lu_solve(factorization, new)
-        # boundary nodes are prescribed, not solved for; pin them so pivoting
-        # noise from the elimination cannot leak onto them
-        new[0] = gl
-        new[-1] = gr
+        if system is None:
+            system = interior_system(cfg, table, state.grid.n_cells, state.grid.h)
+        new[1:-1] = system.solve(new[1:-1], gl, gr)
     return FieldState(grid=state.grid, values=new, time=dt * (f + 1), step_index=f + 1)

@@ -14,8 +14,7 @@ import numpy as np
 from .errors import ConfigInvalid, NoSuchSnapshot, UnstableTimestep
 from .grid import FieldState, Grid1D, InitialCondition, sample_initial
 from .kernel import TailSums, weight_table
-from .linalg import lu_factor
-from .schemes import SchemeConfig, assemble_system, implicit_step, max_stable_dt
+from .schemes import SchemeConfig, implicit_step, interior_system, max_stable_dt
 
 # snapshot times are aligned to integer step multiples when their ratios to
 # t_end are rational with denominators up to this bound
@@ -153,7 +152,7 @@ def run(config: SimulationConfig) -> SnapshotSeries:
     Deterministic: identical configs produce bit-identical series.  An
     unstable explicit dt is refused before anything is built.  The weight
     table and tail sums are built once and reused every step; for
-    sigma < 1 the system matrix is factored once as well.
+    sigma < 1 the interior Toeplitz system is factored once as well.
     """
     dt, n_steps = resolve_dt(config)
     grid = config.grid
@@ -171,11 +170,11 @@ def run(config: SimulationConfig) -> SnapshotSeries:
         wanted[min(n_steps, max(1, round(t / dt)))] = None
     wanted[n_steps] = None
 
-    factorization = None
+    system = None
     if scheme.sigma != 1.0:
-        factorization = lu_factor(assemble_system(state, scheme, table, tails).matrix)
+        system = interior_system(scheme, table, grid.n_cells, grid.h)
     for f in range(1, n_steps + 1):
-        state = implicit_step(state, scheme, table, tails, factorization)
+        state = implicit_step(state, scheme, table, tails, system)
         if f in wanted:
             recorded.append(state)
     return SnapshotSeries(

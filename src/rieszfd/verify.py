@@ -2,8 +2,9 @@
 
 Three suites: ``table1`` reproduces a frozen 6-decimal weight table,
 ``identities`` checks the algebraic structure of the discretization
-(coefficient sums, symmetry, oracle agreement, the stability bound), and
-``kernels`` runs the two fundamental-solution benchmarks end to end.
+(coefficient sums, symmetry, oracle agreement, the stability bound, the
+Toeplitz implicit solve against the dense LU), and ``kernels`` runs the
+two fundamental-solution benchmarks end to end.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BoundarySpec, InitialCondition, build_grid
+from .grid import BoundarySpec, FieldState, InitialCondition, build_grid
 from .kernel import TailSums, validate_params, weight_table
+from .linalg import lu_factor, lu_solve
 from .oracles import (
     AnalyticKernel,
     CAUCHY,
@@ -23,7 +25,7 @@ from .oracles import (
     tail_oracle,
     weight_oracle,
 )
-from .schemes import SchemeConfig, max_stable_dt
+from .schemes import SchemeConfig, assemble_system, implicit_step, max_stable_dt
 from .simulate import DtPolicy, SimulationConfig, run, snapshot_error
 
 # frozen 6-decimal reference weights for theta = 0; the near-1 column is a
@@ -152,7 +154,45 @@ def check_identities() -> list[CheckResult]:
             f"|w0+1|={abs(w0 + 1):.1e}, |w1-1|={abs(w1 - 1):.1e}, spill={spill:.1e}",
         )
     )
+    results.append(_check_implicit_solve())
     return results
+
+
+# (alpha, theta, sigma, N): the tridiagonal alpha = 2 system, one-sided
+# skew on both branches, and full stencils down to a single interior node
+IMPLICIT_CASES = (
+    (2.0, 0.0, 0.0, 64),
+    (2.0, 0.0, 0.5, 3),
+    (1.5, 0.3, 0.0, 64),
+    (1.5, -0.5, 0.25, 40),
+    (0.6, 0.6, 0.0, 33),
+    (0.7, -0.2, 0.9, 2),
+)
+
+
+def _check_implicit_solve() -> CheckResult:
+    """One implicit step through the Toeplitz solve against the dense LU of
+    the whole system, at ratio K dt / h**alpha = 0.8 and nonzero boundary
+    values."""
+    worst = 0.0
+    for alpha, theta, sigma, n in IMPLICIT_CASES:
+        params = validate_params(alpha, theta)
+        grid = build_grid(0.0, 1.0, n)
+        cfg = SchemeConfig(
+            params=params, k_alpha=1.0, dt=0.8 * grid.h**alpha, sigma=sigma,
+            bc_left=BoundarySpec.constant(0.7), bc_right=BoundarySpec.constant(-0.4),
+        )
+        table = weight_table(params, -(n - 1), n - 1)
+        tails = TailSums(params)
+        state = FieldState(grid=grid, values=np.cos(np.arange(n + 1.0)))
+        dense = assemble_system(state, cfg, table, tails)
+        expected = lu_solve(lu_factor(dense.matrix), dense.rhs)
+        got = implicit_step(state, cfg, table, tails).values
+        diff = np.max(np.abs(got[1:-1] - expected[1:-1])) / np.max(np.abs(expected))
+        worst = max(worst, diff)
+    return CheckResult(
+        "Toeplitz implicit solve matches dense LU", worst <= 1e-12, f"max rel. diff = {worst:.2e}"
+    )
 
 
 def _fundamental_run(alpha: float) -> SimulationConfig:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from rieszfd import DimensionMismatch, SingularMatrix, lu_factor, lu_solve
+from rieszfd.linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
 
 
 def test_identity():
@@ -65,3 +67,52 @@ def test_factorization_does_not_mutate_input():
     kept = a.copy()
     lu_factor(a)
     assert np.array_equal(a, kept)
+
+
+def _dominant_toeplitz(rng, n, reach):
+    # first column and row with entries up to `reach` off the diagonal
+    c, r = np.zeros(n), np.zeros(n)
+    c[1 : reach + 1] = rng.uniform(-1.0, 1.0, min(reach, n - 1))
+    r[1 : reach + 1] = rng.uniform(-1.0, 1.0, min(reach, n - 1))
+    c[0] = r[0] = np.sum(np.abs(c)) + np.sum(np.abs(r)) + 0.5
+    return c, r
+
+
+@pytest.mark.parametrize("reach, kind", [(1, TridiagonalFactorization), (50, ToeplitzFactorization)])
+def test_toeplitz_solves_match_the_dense_solve(rng, reach, kind):
+    for n in list(range(1, 8)) + [30, 100]:
+        c, r = _dominant_toeplitz(rng, n, reach)
+        fact = toeplitz_factor(c, r)
+        assert isinstance(fact, kind if n > 2 else TridiagonalFactorization)
+        b = rng.uniform(-1.0, 1.0, n)
+        dense = toeplitz(c, r)
+        x = fact.solve(b)
+        assert np.max(np.abs(x - np.linalg.solve(dense, b))) <= 1e-13
+        assert np.array_equal(fact.solve(b), x)
+
+
+def test_toeplitz_input_validation():
+    with pytest.raises(ValueError):
+        toeplitz_factor(np.array([1.0, np.nan, 0.5]), np.array([1.0, 0.2, 0.1]))
+    with pytest.raises(ValueError):
+        toeplitz_factor(np.array([1.0, 0.1]), np.array([1.0, np.inf]))
+    with pytest.raises(DimensionMismatch):
+        toeplitz_factor(np.array([2.0, 0.1, 0.1]), np.array([2.0, 0.1]))
+    with pytest.raises(DimensionMismatch):
+        toeplitz_factor(np.array([2.0, 0.1, 0.1]), np.array([3.0, 0.1, 0.1]))
+    with pytest.raises(DimensionMismatch):
+        toeplitz_factor(np.zeros(0), np.zeros(0))
+    for c in (np.array([4.0, 1.0]), np.array([4.0, 1.0, 0.5])):
+        with pytest.raises(DimensionMismatch):
+            toeplitz_factor(c, c).solve(np.zeros(len(c) + 1))
+
+
+@pytest.mark.parametrize("first_col, first_row", [
+    ([1.0, 1.0], [1.0, 1.0]),  # rank one, tridiagonal
+    ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),  # rank one: Levinson breaks down
+    ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0]),  # zero leading principal submatrix
+    ([1e-20, 1.0, 1.0], [1e-20, 1.0, 2.0]),  # near-singular one: backward error 0.33
+])
+def test_singular_toeplitz_rejected(first_col, first_row):
+    with pytest.raises(SingularMatrix):
+        toeplitz_factor(np.array(first_col), np.array(first_row))

@@ -1,6 +1,6 @@
-"""Property tests of the stencil weights, the tail sums and the matrix-free
-stencil apply over the whole valid (alpha, theta) domain, extreme skew and
-orders near 1 included.
+"""Property tests of the stencil weights, the tail sums, the matrix-free
+stencil apply and the Toeplitz implicit solve over the whole valid
+(alpha, theta) domain, extreme skew and orders near 1 included.
 
 A weight or tail that is exactly zero (alpha = 2, or the far side at
 extreme skew) comes out of sums of O(1) terms, so the sign and order checks
@@ -12,7 +12,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rieszfd import TailSums, validate_params, weight, weight_table
+from rieszfd import (
+    BoundarySpec,
+    FieldState,
+    SchemeConfig,
+    TailSums,
+    assemble_system,
+    build_grid,
+    implicit_step,
+    lu_factor,
+    lu_solve,
+    validate_params,
+    weight,
+    weight_table,
+)
 from rieszfd.kernel import DEFAULT_ALPHA_ONE_GUARD
 
 # orders anywhere in (0, 2], plus a band on both sides of the guard around 1
@@ -138,3 +151,39 @@ def test_apply_equals_the_dense_product(case):
     dense = table.application_matrix(n)
     tol = 1e-13 * np.max(np.abs(dense)) * np.max(np.abs(u)) * n
     assert np.max(np.abs(table.apply(u) - dense @ u)) <= tol
+
+
+@st.composite
+def implicit_steps(draw):
+    """A valid (alpha, theta) pair, sigma in [0, 1), a cell count N, the
+    ratio r = K dt / h**alpha and two nonzero boundary values."""
+    signed = st.builds(lambda v, sign: sign * v, st.floats(0.1, 2.0), st.sampled_from((-1.0, 1.0)))
+    sigma = draw(st.floats(0.0, 1.0, exclude_max=True))
+    n, log_r = draw(st.integers(2, 300)), draw(st.floats(-3.0, 3.0))
+    return _pair(draw), sigma, n, 10.0**log_r, (draw(signed), draw(signed))
+
+
+@PROPERTY_SETTINGS
+@given(implicit_steps())
+@example(((2.0, 0.0), 0.0, 2, 1.0, (1.0, -0.5)))
+@example(((2.0, 0.0), 0.5, 3, 10.0, (0.3, 1.2)))
+@example(((0.5, 0.5), 0.0, 2, 0.5, (-0.7, 0.4)))
+@example(((1.5, -0.5), 0.25, 3, 100.0, (0.2, 0.9)))
+def test_implicit_step_matches_the_dense_solve(case):
+    # the step solves the interior Toeplitz system; the dense LU of the
+    # whole (N+1) x (N+1) system is the reference.  Within 1e-12 relative
+    # where r <= 1, within 1e-12 cond(T) beyond
+    (alpha, theta), sigma, n, r, (gl, gr) = case
+    params = validate_params(alpha, theta)
+    grid = build_grid(0.0, 1.0, n)
+    cfg = SchemeConfig(params=params, k_alpha=1.0, dt=r * grid.h**alpha, sigma=sigma,
+                       bc_left=BoundarySpec.constant(gl), bc_right=BoundarySpec.constant(gr))
+    table = weight_table(params, -(n - 1), n - 1)
+    tails = TailSums(params)
+    state = FieldState(grid=grid, values=np.random.default_rng(n).uniform(-1.0, 1.0, n + 1))
+    dense = assemble_system(state, cfg, table, tails)
+    expected = lu_solve(lu_factor(dense.matrix), dense.rhs)
+    got = implicit_step(state, cfg, table, tails).values
+    gate = 1e-12 * (1.0 if r <= 1.0 else np.linalg.cond(dense.matrix[1:-1, 1:-1]))
+    assert got[0] == gl and got[-1] == gr
+    assert np.max(np.abs(got[1:-1] - expected[1:-1])) <= gate * np.max(np.abs(expected))

@@ -16,7 +16,6 @@ from rieszfd import (
     boundary_at_half_step,
     build_grid,
     implicit_step,
-    lu_factor,
     mass,
     max_stable_dt,
     rf_apply_bounded,
@@ -28,6 +27,7 @@ from rieszfd import (
     weight_table,
 )
 from rieszfd.oracles import p_coefficient
+from rieszfd.schemes import interior_system
 from conftest import sample_params
 
 
@@ -327,9 +327,9 @@ class TestImplicitStep:
         params = validate_params(1.4, 0.2)
         grid, cfg, table, tails = make_setup(params, n_cells=12, sigma=0.3, gl=1.0)
         state = FieldState(grid=grid, values=rng.uniform(0, 1, 13))
-        fact = lu_factor(assemble_system(state, cfg, table, tails).matrix)
+        system = interior_system(cfg, table, grid.n_cells, grid.h)
         a = implicit_step(state, cfg, table, tails)
-        b = implicit_step(state, cfg, table, tails, factorization=fact)
+        b = implicit_step(state, cfg, table, tails, system=system)
         assert np.array_equal(a.values, b.values)
 
     def test_half_step_boundary_values_used(self):

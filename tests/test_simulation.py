@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rieszfd.kernel
+import rieszfd.linalg
 import rieszfd.schemes
 import rieszfd.simulate
 from rieszfd import (
@@ -153,12 +154,49 @@ class TestRun:
         def refuse(*args):
             raise AssertionError("an explicit run needs no dense operator, factorization or solve")
 
-        for owner, name in ((rieszfd.simulate, "lu_factor"), (rieszfd.schemes, "lu_factor"),
-                            (rieszfd.schemes, "lu_solve"),
+        for owner, name in ((rieszfd.simulate, "interior_system"),
+                            (rieszfd.schemes, "interior_system"),
+                            (rieszfd.schemes, "toeplitz_factor"),
+                            (rieszfd.schemes.InteriorSystem, "solve"),
+                            (rieszfd.linalg, "lu_factor"), (rieszfd.linalg, "lu_solve"),
                             (rieszfd.kernel.WeightTable, "application_matrix")):
             monkeypatch.setattr(owner, name, refuse)
         series = run(small_config(alpha=1.3, theta=0.2, gl=0.5, t_end=0.02))
         assert np.all(np.isfinite(series.snapshots[-1].values))
+
+    def test_large_implicit_run_forms_no_dense_matrix(self, monkeypatch):
+        # the dense path would need about 1.5 GB at N = 2**13
+        def refuse(*args):
+            raise AssertionError("an implicit run forms no dense operator, LU or LU solve")
+
+        for owner, name in ((rieszfd.kernel.WeightTable, "application_matrix"),
+                            (rieszfd.linalg, "lu_factor"), (rieszfd.linalg, "lu_solve")):
+            monkeypatch.setattr(owner, name, refuse)
+        cfg = SimulationConfig(
+            grid=build_grid(-10.0, 10.0, 2**13),
+            scheme=SchemeConfig(params=validate_params(1.5, 0.3), k_alpha=1.0, sigma=0.5),
+            initial=InitialCondition.delta(),
+            t_end=3e-4,
+            dt_policy=DtPolicy.fixed(1e-4),
+        )
+        series = run(cfg)
+        assert series.n_steps == 3
+        assert np.all(np.isfinite(series.snapshots[-1].values))
+
+    def test_implicit_heat_limit_keeps_delta_nonnegative(self):
+        # at alpha = 2 the tridiagonal system is eliminated directly, so the
+        # far field keeps its nonnegative values
+        cfg = SimulationConfig(
+            grid=build_grid(-10.0, 10.0, 1000),
+            scheme=SchemeConfig(params=validate_params(2.0, 0.0), k_alpha=1.0, sigma=0.0),
+            initial=InitialCondition.delta(),
+            t_end=0.2,
+            snapshot_times=(0.1,),
+            dt_policy=DtPolicy.fixed(1e-4),
+        )
+        for snap in run(cfg).snapshots:
+            assert np.min(snap.values) >= 0.0
+            assert mass(snap) <= 1.0 + 1e-12
 
     def test_config_hash_distinguishes_configs(self):
         a = run(small_config(alpha=1.5, t_end=0.01))
