@@ -32,7 +32,7 @@ coefficients are cumulative sums of the same terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -213,6 +213,15 @@ class WeightTable:
         reach = max(1, int(offsets.max(initial=0)))
         return np.ascontiguousarray(centred[m - reach : m + reach + 1][::-1])
 
+    def _interior_stencil(self, n: int) -> tuple[np.ndarray, int]:
+        """The reversed stencil trimmed to r = min(K, N-1) for an N-cell
+        grid, and the zero padding ``_convolve_interior`` gives the state."""
+        rev = self._reversed_stencil
+        reach = len(rev) // 2
+        r = min(reach, n - 1)
+        # at r = N-1 np.convolve slides the state along the longer stencil
+        return rev[reach - r : reach + r + 1], 0 if r in (1, n - 1) else r - 1
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         """W @ values for the matrix W of ``application_matrix``, without forming W.
 
@@ -223,13 +232,7 @@ class WeightTable:
         """
         n = len(values) - 1
         self._require_window(n)
-        rev = self._reversed_stencil
-        reach = len(rev) // 2
-        r = min(reach, n - 1)
-        stencil = rev[reach - r : reach + r + 1]
-        # at r = N-1 np.convolve slides the state along the longer stencil
-        padded = values if r in (1, n - 1) else np.pad(values, r - 1)
-        return np.convolve(padded, stencil, "valid")
+        return _convolve_interior(values, *self._interior_stencil(n))
 
     def application_matrix(self, n_cells: int) -> np.ndarray:
         """(N-1, N+1) matrix W with W[i-1, j] = w_{j-i} for interior rows i.
@@ -242,6 +245,13 @@ class WeightTable:
         self._require_window(n)
         offsets = np.arange(n + 1)[None, :] - np.arange(1, n)[:, None] - self.k_min
         return self.weights[offsets]
+
+
+def _convolve_interior(values: np.ndarray, stencil: np.ndarray, pad: int) -> np.ndarray:
+    """The N-1 interior rows of the convolution of N+1 nodal values with a
+    reversed stencil, padded as ``WeightTable._interior_stencil`` says."""
+    padded = values if pad == 0 else np.pad(values, pad)
+    return np.convolve(padded, stencil, "valid")
 
 
 def weight_table(params: FractionalParams, k_min: int, k_max: int) -> WeightTable:
@@ -279,7 +289,6 @@ class TailSums:
     """
 
     params: FractionalParams
-    _array_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def left(self, j):
         return self._eval(j, left_side=True)
@@ -299,14 +308,7 @@ class TailSums:
         return out
 
     def interior_arrays(self, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (left(1..N-1), right(1..N-1)) vectors for an N-cell grid."""
-        n = int(n_cells)
-        cached = self._array_cache.get(n)
-        if cached is None:
-            js = np.arange(1, n)
-            cached = (self.left(js), self.right(js))
-            for arr in cached:
-                arr.setflags(write=False)
-            self._array_cache[n] = cached
-        return cached
+        """(left(1..N-1), right(1..N-1)) vectors for an N-cell grid."""
+        js = np.arange(1, int(n_cells))
+        return self.left(js), self.right(js)
 

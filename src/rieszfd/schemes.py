@@ -4,14 +4,15 @@ One step advances the interior nodes by the discretized fractional
 operator while both Dirichlet values enter every interior node through
 closed-form tail sums (values beyond the domain are held at the nearest
 boundary value).  ``sigma`` blends the time levels: 1 is fully explicit,
-0 fully implicit, anything between is a partially implicit scheme.  A
-single step function, ``implicit_step``, serves every sigma; at sigma = 1
-its system matrix is the identity and it does no solve.  Below sigma = 1
-the interior system is Toeplitz and is factored once per run
-(``interior_system``), in O(N) memory; each step then solves it in
-O(N log N) work.  The dense system (``assemble_system``) is kept as the
-reference the tests and ``verify`` compare with.  Boundary data is
-evaluated at half steps t = dt*(f + 1/2).
+0 fully implicit, anything between is a partially implicit scheme.
+Boundary data is evaluated at half steps t = dt*(f + 1/2).
+
+Every coefficient of a step is fixed for a run, so ``step_plan`` builds
+them once, in O(N) memory, and below sigma = 1 factors the interior
+Toeplitz system; a step is then one convolution, an axpy per nonzero
+boundary value and an O(N log N) solve.  ``rf_apply_bounded`` and the
+dense ``assemble_system`` are the reference the tests and ``verify``
+compare with.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import BoundarySpec, FieldState, boundary_at_half_step
-from .kernel import FractionalParams, TailSums, WeightTable, weight
+from .kernel import FractionalParams, TailSums, WeightTable, _convolve_interior, weight
 from .linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
 
 
@@ -89,7 +90,8 @@ def rf_apply_bounded(
     computed matrix-free by ``WeightTable.apply``, in O(N) memory and
     O(N * K) work for a stencil of reach K (three products per node at
     alpha = 2).  At sigma = 0 the window sum is skipped, not multiplied by
-    zero.
+    zero.  The step does not call it: it is the reference that the fused
+    coefficients of ``StepPlan`` are tested against.
     """
     n = state.grid.n_cells
     s_left, s_right = tails.interior_arrays(n)
@@ -107,43 +109,81 @@ def _implicit_ratio(cfg: SchemeConfig, h: float) -> float:
 
 
 @dataclass(frozen=True)
-class InteriorSystem:
-    """The system of one implicit step on the N-1 interior nodes.
+class StepPlan:
+    """Every coefficient of a sigma-weighted step on an N-cell grid.
 
-    T[i, j] = delta_ij + ratio * w_{j-i} is Toeplitz; the Dirichlet columns
-    ``left`` = ratio * w_{-i} and ``right`` = ratio * w_{N-i} (i = 1..N-1)
-    move to the right-hand side.  Depends only on (params, k_alpha, dt,
-    sigma, N), so ``run`` builds it once.
+    With r = K dt / h**alpha the step solves T C^{f+1} = P C^f + g_L left
+    + g_R right on the interior nodes, T = I + (sigma - 1) r W and
+    P = I + sigma r W.  ``stencil`` is P's row, reversed and trimmed to its
+    reach, for the state padded with ``pad`` zeros (None at sigma = 0,
+    P = I); ``left``/``right`` are r s_L(i)/r s_R(N-i) minus T's Dirichlet
+    columns (sigma - 1) r w_{-i}/w_{N-i}; ``factorization`` is T's (None
+    at sigma = 1, T = I).
     """
 
-    factorization: ToeplitzFactorization | TridiagonalFactorization
+    dt: float
+    bc_left: BoundarySpec
+    bc_right: BoundarySpec
+    stencil: np.ndarray | None
+    pad: int
     left: np.ndarray
     right: np.ndarray
+    factorization: ToeplitzFactorization | TridiagonalFactorization | None
 
-    def solve(self, rhs: np.ndarray, g_left: float, g_right: float) -> np.ndarray:
-        """Interior values C^{f+1} for the interior right-hand side b."""
-        return self.factorization.solve(rhs - g_left * self.left - g_right * self.right)
+    def advance(self, values: np.ndarray, f: int) -> np.ndarray:
+        """The N+1 nodal values C^{f+1} from C^f, as a new array; the end
+        nodes take the boundary values at the half step."""
+        g_left = boundary_at_half_step(self.bc_left, self.dt, f)
+        g_right = boundary_at_half_step(self.bc_right, self.dt, f)
+        if self.stencil is None:
+            rhs = values[1:-1].copy()
+        else:
+            rhs = _convolve_interior(values, self.stencil, self.pad)
+        if g_left != 0.0:
+            rhs += g_left * self.left
+        if g_right != 0.0:
+            rhs += g_right * self.right
+        if self.factorization is not None:
+            rhs = self.factorization.solve(rhs)
+        new = np.empty(len(values))
+        new[0], new[1:-1], new[-1] = g_left, rhs, g_right
+        return new
 
 
-def interior_system(cfg: SchemeConfig, table: WeightTable, n_cells: int, h: float) -> InteriorSystem:
-    """Factor the interior Toeplitz system once; O(N) memory.
+def step_plan(
+    cfg: SchemeConfig, table: WeightTable, tails: TailSums, n_cells: int, h: float
+) -> StepPlan:
+    """Build the coefficients of a step once per run; O(N) memory.
 
-    Its first column and row are read from the weight table, which must
-    cover [-(N-1), N-1].
+    They are read from the weight table, which must cover [-(N-1), N-1].
+    T is factored only below sigma = 1.
     """
     n = int(n_cells)
     table._require_window(n)
+    dt = cfg._require_dt()
+    r = cfg.k_alpha * dt / h**cfg.params.alpha
     ratio = _implicit_ratio(cfg, h)
     offsets = np.arange(n)
     below = ratio * table.weights[-table.k_min - offsets]  # ratio * w_0, w_-1, ..., w_-(N-1)
     above = ratio * table.weights[-table.k_min + offsets]  # ratio * w_0, w_1, ..., w_(N-1)
-    first_col, first_row = below[:-1].copy(), above[:-1].copy()
-    first_col[0] += 1.0
-    first_row[0] += 1.0
-    left, right = below[1:], above[:0:-1]
+    s_left, s_right = tails.interior_arrays(n)
+    left = r * s_left - below[1:]
+    right = r * s_right[::-1] - above[:0:-1]  # s_R(N-i) and w_(N-i) for i = 1..N-1
+    factorization = None
+    if cfg.sigma != 1.0:
+        first_col, first_row = below[:-1].copy(), above[:-1].copy()
+        first_col[0] += 1.0
+        first_row[0] += 1.0
+        factorization = toeplitz_factor(first_col, first_row)
+    stencil, pad = None, 0
+    if cfg.sigma != 0.0:
+        stencil, pad = table._interior_stencil(n)
+        stencil = cfg.sigma * r * stencil
+        stencil[len(stencil) // 2] += 1.0
+        stencil.setflags(write=False)
     left.setflags(write=False)
     right.setflags(write=False)
-    return InteriorSystem(toeplitz_factor(first_col, first_row), left, right)
+    return StepPlan(dt, cfg.bc_left, cfg.bc_right, stencil, pad, left, right, factorization)
 
 
 @dataclass(frozen=True)
@@ -166,38 +206,24 @@ def _assemble_matrix(cfg: SchemeConfig, table: WeightTable, n_cells: int, h: flo
     return a
 
 
-def _assemble_rhs(
-    state: FieldState,
-    cfg: SchemeConfig,
-    table: WeightTable,
-    tails: TailSums,
-    gl: float,
-    gr: float,
-) -> np.ndarray:
-    """b: C^f + dt K F on interior rows, with F = rf_apply_bounded at the
-    scheme's sigma, and the boundary values on the end rows."""
-    op = rf_apply_bounded(state, gl, gr, table, tails, cfg.sigma)
-    rhs = np.empty_like(state.values)
-    rhs[1:-1] = state.values[1:-1] + cfg._require_dt() * cfg.k_alpha * op
-    rhs[0] = gl
-    rhs[-1] = gr
-    return rhs
-
-
 def assemble_system(
     state: FieldState,
     cfg: SchemeConfig,
     table: WeightTable,
     tails: TailSums,
 ) -> LinearSystem:
-    """Dense matrix and right-hand side for one sigma-weighted step: the
-    reference the Toeplitz solve of ``implicit_step`` is tested against."""
+    """Dense A and b = C^f + dt K rf_apply_bounded(C^f) of one step, with
+    the boundary values on the end rows: the reference of ``StepPlan``."""
     dt = cfg._require_dt()
     f = state.step_index
     gl = boundary_at_half_step(cfg.bc_left, dt, f)
     gr = boundary_at_half_step(cfg.bc_right, dt, f)
     matrix = _assemble_matrix(cfg, table, state.grid.n_cells, state.grid.h)
-    rhs = _assemble_rhs(state, cfg, table, tails, gl, gr)
+    op = rf_apply_bounded(state, gl, gr, table, tails, cfg.sigma)
+    rhs = np.empty_like(state.values)
+    rhs[1:-1] = state.values[1:-1] + dt * cfg.k_alpha * op
+    rhs[0] = gl
+    rhs[-1] = gr
     return LinearSystem(matrix=matrix, rhs=rhs)
 
 
@@ -206,25 +232,18 @@ def implicit_step(
     cfg: SchemeConfig,
     table: WeightTable,
     tails: TailSums,
-    system: InteriorSystem | None = None,
+    plan: StepPlan | None = None,
 ) -> FieldState:
     """One sigma-weighted step: solve A C^{f+1} = b.
 
-    At sigma = 1 the matrix A is the identity, so the step is the explicit
-    update b itself and nothing is factored or solved.  Otherwise A depends
-    only on (params, k_alpha, dt, sigma, N): pass the ``interior_system``
-    in when stepping repeatedly so it is factored once.  The boundary
-    nodes take the prescribed values, not solved ones.  The step does not
-    compare dt with the explicit bound; ``run`` does that once, when it
-    resolves dt.
+    At sigma = 1 A is the identity and nothing is factored or solved.  Pass
+    the ``step_plan`` in when stepping repeatedly so its coefficients are
+    built, and A factored, once.  The boundary nodes take the prescribed
+    values.  The step does not compare dt with the explicit bound; ``run``
+    does that once, when it resolves dt.
     """
-    dt = cfg._require_dt()
+    if plan is None:
+        plan = step_plan(cfg, table, tails, state.grid.n_cells, state.grid.h)
     f = state.step_index
-    gl = boundary_at_half_step(cfg.bc_left, dt, f)
-    gr = boundary_at_half_step(cfg.bc_right, dt, f)
-    new = _assemble_rhs(state, cfg, table, tails, gl, gr)
-    if cfg.sigma != 1.0:
-        if system is None:
-            system = interior_system(cfg, table, state.grid.n_cells, state.grid.h)
-        new[1:-1] = system.solve(new[1:-1], gl, gr)
-    return FieldState(grid=state.grid, values=new, time=dt * (f + 1), step_index=f + 1)
+    values = plan.advance(state.values, f)
+    return FieldState(grid=state.grid, values=values, time=plan.dt * (f + 1), step_index=f + 1)

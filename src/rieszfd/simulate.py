@@ -14,12 +14,15 @@ import numpy as np
 from .errors import ConfigInvalid, NoSuchSnapshot, UnstableTimestep
 from .grid import FieldState, Grid1D, InitialCondition, sample_initial
 from .kernel import TailSums, weight_table
-from .schemes import SchemeConfig, implicit_step, interior_system, max_stable_dt
+from .schemes import SchemeConfig, max_stable_dt, step_plan
 
 # snapshot times are aligned to integer step multiples when their ratios to
 # t_end are rational with denominators up to this bound
 _ALIGN_DENOMINATOR_LIMIT = 10**6
 _ALIGN_STEP_CAP = 50_000_000
+# runs of more steps are refused before anything is built: 10**8 steps
+# take about ten minutes at a few microseconds a step, a day at a millisecond
+_STEP_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,7 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
     when the requested snapshot times are rational fractions of t_end, so
     are they; irrational requests fall back to nearest-step recording.
     A fixed policy uses the given dt unchanged and steps until t >= t_end.
+    A step count past ``_STEP_BUDGET`` (10**8) raises ConfigInvalid.
 
     This is the run's one stability check: at sigma = 1 a dt at or above
     the explicit bound raises UnstableTimestep unless the scheme sets
@@ -119,12 +123,15 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
     policy = config.dt_policy
     scheme = config.scheme
     bound = max_stable_dt(scheme.params, scheme.k_alpha, config.grid.h)
-    if policy.kind == "fixed":
-        dt = policy.value
-        n = max(1, math.ceil(config.t_end / dt * (1.0 - 1e-12)))
-    else:
-        base = policy.value * bound
-        n = max(1, math.ceil(config.t_end / base * (1.0 - 1e-12)))
+    dt = policy.value if policy.kind == "fixed" else policy.value * bound
+    steps = config.t_end / dt * (1.0 - 1e-12)
+    if not steps <= _STEP_BUDGET:
+        raise ConfigInvalid(
+            f"t_end={config.t_end} at dt={dt} takes {steps:.3g} steps, "
+            f"over the budget of {_STEP_BUDGET:.0e} steps a run"
+        )
+    n = max(1, math.ceil(steps))
+    if policy.kind == "auto":
         denominators = []
         for t in config.snapshot_times:
             if t <= 0.0 or t >= config.t_end:
@@ -149,10 +156,13 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
 def run(config: SimulationConfig) -> SnapshotSeries:
     """Advance the field from t = 0 past t_end, recording snapshots.
 
-    Deterministic: identical configs produce bit-identical series.  An
-    unstable explicit dt is refused before anything is built.  The weight
-    table and tail sums are built once and reused every step; for
-    sigma < 1 the interior Toeplitz system is factored once as well.
+    Deterministic: identical configs produce bit-identical series, equal
+    to stepping ``implicit_step`` by hand.  An unstable explicit dt or a
+    step count past the budget is refused before anything is built.  The
+    weight table, the tail sums and from them the ``step_plan`` (for
+    sigma < 1 with the factored interior Toeplitz system) are built once;
+    the loop then steps bare arrays and wraps only the recorded ones in a
+    ``FieldState``.
     """
     dt, n_steps = resolve_dt(config)
     grid = config.grid
@@ -170,13 +180,12 @@ def run(config: SimulationConfig) -> SnapshotSeries:
         wanted[min(n_steps, max(1, round(t / dt)))] = None
     wanted[n_steps] = None
 
-    system = None
-    if scheme.sigma != 1.0:
-        system = interior_system(scheme, table, grid.n_cells, grid.h)
+    plan = step_plan(scheme, table, tails, grid.n_cells, grid.h)
+    values = state.values
     for f in range(1, n_steps + 1):
-        state = implicit_step(state, scheme, table, tails, system)
+        values = plan.advance(values, f - 1)
         if f in wanted:
-            recorded.append(state)
+            recorded.append(FieldState(grid=grid, values=values, time=dt * f, step_index=f))
     return SnapshotSeries(
         config=config,
         dt=dt,

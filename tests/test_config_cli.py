@@ -313,6 +313,15 @@ class TestCli:
         assert main(["simulate", "--config", str(config_path)]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_simulate_runaway_step_count_exits_2(self, tmp_path, capsys):
+        doc = tiny_document(dt=1e-12, t_end=1.0, snapshots=[1.0])
+        del doc["dt_safety"]
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     @pytest.mark.parametrize("override, key", NON_FINITE_INPUTS)
     def test_simulate_non_finite_inputs_exit_2(self, tmp_path, capsys, override, key):
         config_path = tmp_path / "run.json"

@@ -1,6 +1,7 @@
 """Property tests of the stencil weights, the tail sums, the matrix-free
-stencil apply and the Toeplitz implicit solve over the whole valid
-(alpha, theta) domain, extreme skew and orders near 1 included.
+stencil apply, the fused update coefficients of a step and the Toeplitz
+implicit solve over the whole valid (alpha, theta) domain, extreme skew
+and orders near 1 included.
 
 A weight or tail that is exactly zero (alpha = 2, or the far side at
 extreme skew) comes out of sums of O(1) terms, so the sign and order checks
@@ -8,25 +9,34 @@ allow a rounding error of 8 ulps of the largest weight.  The examples are
 drawn deterministically so that every run checks the same cases.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rieszfd import (
     BoundarySpec,
+    DtPolicy,
     FieldState,
+    InitialCondition,
     SchemeConfig,
+    SimulationConfig,
     TailSums,
     assemble_system,
     build_grid,
     implicit_step,
     lu_factor,
     lu_solve,
+    max_stable_dt,
+    run,
+    sample_initial,
     validate_params,
     weight,
     weight_table,
 )
-from rieszfd.kernel import DEFAULT_ALPHA_ONE_GUARD
+from rieszfd.kernel import DEFAULT_ALPHA_ONE_GUARD, _convolve_interior
+from rieszfd.schemes import step_plan
 
 # orders anywhere in (0, 2], plus a band on both sides of the guard around 1
 _ALPHAS = st.one_of(
@@ -153,6 +163,34 @@ def test_apply_equals_the_dense_product(case):
     assert np.max(np.abs(table.apply(u) - dense @ u)) <= tol
 
 
+@PROPERTY_SETTINGS
+@given(grids())
+@example(((2.0, 0.0), 2, 0))
+@example(((0.5, 0.5), 3, 0))
+@example((NEAR_ZERO[0], NEAR_ZERO[1] + 1, 0))
+def test_update_coefficients_sum_to_one(case):
+    # at sigma = 1 row i updates by the fused stencil entries
+    # delta_k0 + r w_k that land on the nodes, k in [-i, N-i], and by the
+    # tail terms r s_L(i), r s_R(N-i) that carry the boundary values; as
+    # the weights sum to zero, these sum to one.  Each of the two
+    # closed-form tails is allowed the tolerance of
+    # test_tails_telescope_into_the_weights, scaled by r as the
+    # coefficients are r w_k
+    (alpha, theta), n, extra = case
+    params = validate_params(alpha, theta)
+    grid = build_grid(0.0, 1.0, n)
+    cfg = SchemeConfig(params=params, k_alpha=1.0, dt=0.9 * max_stable_dt(params, 1.0, grid.h))
+    table = weight_table(params, -(n - 1) - extra, n - 1 + extra)
+    tails = TailSums(params)
+    plan = step_plan(cfg, table, tails, n, grid.h)
+    r = cfg.dt / grid.h**alpha
+    on_nodes = _convolve_interior(np.ones(n + 1), plan.stencil, plan.pad)
+    js = np.arange(1, n)
+    total = on_nodes + r * (tails.left(js) + tails.right(n - js))
+    tol = 2e-12 * r * np.max(np.abs(table.weights)) * max(1.0, 1.0 / abs(1.0 - alpha))
+    assert np.max(np.abs(total - 1.0)) <= tol
+
+
 @st.composite
 def implicit_steps(draw):
     """A valid (alpha, theta) pair, sigma in [0, 1), a cell count N, the
@@ -170,20 +208,91 @@ def implicit_steps(draw):
 @example(((0.5, 0.5), 0.0, 2, 0.5, (-0.7, 0.4)))
 @example(((1.5, -0.5), 0.25, 3, 100.0, (0.2, 0.9)))
 def test_implicit_step_matches_the_dense_solve(case):
+    (alpha, theta), sigma, n, r, (gl, gr) = case
+    grid = build_grid(0.0, 1.0, n)
+    _check_against_the_dense_solve(validate_params(alpha, theta), sigma, grid,
+                                   r * grid.h**alpha, BoundarySpec.constant(gl),
+                                   BoundarySpec.constant(gr), 0)
+
+
+@st.composite
+def time_table_steps(draw):
+    """A valid (alpha, theta) pair, sigma in {0, 1/2, 1}, a cell count N,
+    the ratio r = K dt / h**alpha, a step index and the two boundary
+    values at t = 0 and t = 4 dt on each side."""
+    sigma = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    n, log_r, f = draw(st.integers(2, 300)), draw(st.floats(-3.0, 3.0)), draw(st.integers(0, 5))
+    ends = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(4))
+    return _pair(draw), sigma, n, 10.0**log_r, f, ends
+
+
+@PROPERTY_SETTINGS
+@given(time_table_steps())
+@example(((2.0, 0.0), 1.0, 2, 1.0, 0, (1.0, -0.5, 0.0, 2.0)))
+@example(((0.5, -0.5), 0.5, 40, 10.0, 3, (0.3, 1.2, -1.0, 0.0)))
+def test_time_table_boundaries_match_the_dense_solve(case):
+    (alpha, theta), sigma, n, r, f, (l0, l1, r0, r1) = case
+    grid = build_grid(0.0, 1.0, n)
+    dt = r * grid.h**alpha
+    _check_against_the_dense_solve(
+        validate_params(alpha, theta), sigma, grid, dt,
+        BoundarySpec.time_table([(0.0, l0), (4.0 * dt, l1)]),
+        BoundarySpec.time_table([(0.0, r0), (4.0 * dt, r1)]), f,
+    )
+
+
+def _check_against_the_dense_solve(params, sigma, grid, dt, bc_left, bc_right, f):
     # the step solves the interior Toeplitz system; the dense LU of the
     # whole (N+1) x (N+1) system is the reference.  Within 1e-12 relative
     # where r <= 1, within 1e-12 cond(T) beyond
-    (alpha, theta), sigma, n, r, (gl, gr) = case
-    params = validate_params(alpha, theta)
-    grid = build_grid(0.0, 1.0, n)
-    cfg = SchemeConfig(params=params, k_alpha=1.0, dt=r * grid.h**alpha, sigma=sigma,
-                       bc_left=BoundarySpec.constant(gl), bc_right=BoundarySpec.constant(gr))
+    n = grid.n_cells
+    cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt, sigma=sigma,
+                       bc_left=bc_left, bc_right=bc_right)
     table = weight_table(params, -(n - 1), n - 1)
     tails = TailSums(params)
-    state = FieldState(grid=grid, values=np.random.default_rng(n).uniform(-1.0, 1.0, n + 1))
+    values = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
+    state = FieldState(grid=grid, values=values, time=dt * f, step_index=f)
     dense = assemble_system(state, cfg, table, tails)
     expected = lu_solve(lu_factor(dense.matrix), dense.rhs)
     got = implicit_step(state, cfg, table, tails).values
+    r = dt / grid.h**params.alpha
     gate = 1e-12 * (1.0 if r <= 1.0 else np.linalg.cond(dense.matrix[1:-1, 1:-1]))
-    assert got[0] == gl and got[-1] == gr
+    assert got[0] == dense.rhs[0] and got[-1] == dense.rhs[-1]
     assert np.max(np.abs(got[1:-1] - expected[1:-1])) <= gate * np.max(np.abs(expected))
+
+
+@st.composite
+def runs(draw):
+    """A valid (alpha, theta) pair, sigma in {0, 1/2, 1}, a cell count N
+    and a number of steps."""
+    sigma = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    return _pair(draw), sigma, draw(st.integers(2, 60)), draw(st.integers(1, 8))
+
+
+@PROPERTY_SETTINGS
+@given(runs())
+def test_run_equals_stepping_by_hand(case):
+    # run steps one plan on bare arrays, implicit_step builds a plan for
+    # each step: every recorded state agrees bit for bit
+    (alpha, theta), sigma, n, steps = case
+    params = validate_params(alpha, theta)
+    grid = build_grid(0.0, 1.0, n)
+    dt = 0.5 * max_stable_dt(params, 1.0, grid.h)
+    scheme = SchemeConfig(
+        params=params, k_alpha=1.0, sigma=sigma,
+        bc_left=BoundarySpec.time_table([(0.0, 1.0), (steps * dt, -0.5)]),
+        bc_right=BoundarySpec.time_table([(0.0, 0.0), (steps * dt, 2.0)]),
+    )
+    initial = InitialCondition.box(1.0, 0.25, 0.5)
+    series = run(SimulationConfig(grid=grid, scheme=scheme, initial=initial, t_end=steps * dt,
+                                  snapshot_times=(dt,), dt_policy=DtPolicy.fixed(dt)))
+    assert series.n_steps == steps
+    cfg = dataclasses.replace(scheme, dt=dt)
+    table = weight_table(params, -(n - 1), n - 1)
+    tails = TailSums(params)
+    by_hand = [sample_initial(initial, grid)]
+    for _ in range(steps):
+        by_hand.append(implicit_step(by_hand[-1], cfg, table, tails))
+    for snap in series.snapshots:
+        ref = by_hand[snap.step_index]
+        assert snap.time == ref.time and np.array_equal(snap.values, ref.values)

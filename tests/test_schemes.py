@@ -27,7 +27,7 @@ from rieszfd import (
     weight_table,
 )
 from rieszfd.oracles import p_coefficient
-from rieszfd.schemes import interior_system
+from rieszfd.schemes import step_plan
 from conftest import sample_params
 
 
@@ -327,9 +327,9 @@ class TestImplicitStep:
         params = validate_params(1.4, 0.2)
         grid, cfg, table, tails = make_setup(params, n_cells=12, sigma=0.3, gl=1.0)
         state = FieldState(grid=grid, values=rng.uniform(0, 1, 13))
-        system = interior_system(cfg, table, grid.n_cells, grid.h)
+        plan = step_plan(cfg, table, tails, grid.n_cells, grid.h)
         a = implicit_step(state, cfg, table, tails)
-        b = implicit_step(state, cfg, table, tails, system=system)
+        b = implicit_step(state, cfg, table, tails, plan=plan)
         assert np.array_equal(a.values, b.values)
 
     def test_half_step_boundary_values_used(self):

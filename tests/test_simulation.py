@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,10 +13,12 @@ from rieszfd import (
     BoundarySpec,
     ConfigInvalid,
     DtPolicy,
+    FieldState,
     InitialCondition,
     NoSuchSnapshot,
     SchemeConfig,
     SimulationConfig,
+    TailSums,
     build_grid,
     mass,
     max_stable_dt,
@@ -24,7 +27,9 @@ from rieszfd import (
     sample_initial,
     snapshot_error,
     validate_params,
+    weight_table,
 )
+from rieszfd.schemes import step_plan
 
 
 def small_config(alpha=1.5, theta=0.0, sigma=1.0, t_end=0.1, snapshots=(), policy=None,
@@ -85,6 +90,20 @@ class TestResolveDt:
         cfg = small_config(policy=DtPolicy.fixed(0.5), t_end=0.1, sigma=0.0)
         dt, n = resolve_dt(cfg)
         assert dt == 0.5 and n == 1
+
+    def test_refuses_runaway_step_count_before_building_anything(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("weight table built for a refused run")
+
+        monkeypatch.setattr(rieszfd.simulate, "weight_table", no_table)
+        for sigma in (1.0, 0.0):
+            cfg = small_config(policy=DtPolicy.fixed(1e-12), t_end=1.0, sigma=sigma)
+            with pytest.raises(ConfigInvalid, match="budget"):
+                run(cfg)
+        # the auto dt at alpha = 2 and h = 1e-4 takes 2.2e8 steps to t = 1
+        cfg = small_config(alpha=2.0, n_cells=40_000, t_end=1.0)
+        with pytest.raises(ConfigInvalid, match="budget"):
+            resolve_dt(cfg)
 
 
 class TestRun:
@@ -154,11 +173,11 @@ class TestRun:
         def refuse(*args):
             raise AssertionError("an explicit run needs no dense operator, factorization or solve")
 
-        for owner, name in ((rieszfd.simulate, "interior_system"),
-                            (rieszfd.schemes, "interior_system"),
-                            (rieszfd.schemes, "toeplitz_factor"),
-                            (rieszfd.schemes.InteriorSystem, "solve"),
+        for owner, name in ((rieszfd.schemes, "toeplitz_factor"),
+                            (rieszfd.linalg.ToeplitzFactorization, "solve"),
+                            (rieszfd.linalg.TridiagonalFactorization, "solve"),
                             (rieszfd.linalg, "lu_factor"), (rieszfd.linalg, "lu_solve"),
+                            (rieszfd.schemes, "assemble_system"),
                             (rieszfd.kernel.WeightTable, "application_matrix")):
             monkeypatch.setattr(owner, name, refuse)
         series = run(small_config(alpha=1.3, theta=0.2, gl=0.5, t_end=0.02))
@@ -197,6 +216,36 @@ class TestRun:
         for snap in run(cfg).snapshots:
             assert np.min(snap.values) >= 0.0
             assert mass(snap) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("alpha, theta", [(2.0, 0.0), (1.5, 0.3)])
+    def test_fused_explicit_step_keeps_delta_nonnegative(self, alpha, theta):
+        # under the explicit bound every fused update coefficient is
+        # nonnegative, so no node of a delta run turns negative and its
+        # trapezoid mass, up to the rounding of the sums, never grows
+        config = SimulationConfig(
+            grid=build_grid(-10.0, 10.0, 1000),
+            scheme=SchemeConfig(params=validate_params(alpha, theta), k_alpha=1.0),
+            initial=InitialCondition.delta(),
+            t_end=1.0,
+            dt_policy=DtPolicy.auto(0.9),
+        )
+        dt, n_steps = resolve_dt(config)
+        grid, params = config.grid, config.scheme.params
+        plan = step_plan(
+            dataclasses.replace(config.scheme, dt=dt),
+            weight_table(params, -(grid.n_cells - 1), grid.n_cells - 1),
+            TailSums(params), grid.n_cells, grid.h,
+        )
+        assert np.min(plan.stencil) >= 0.0
+        assert np.min(plan.left) >= 0.0 and np.min(plan.right) >= 0.0
+        state = sample_initial(config.initial, grid)
+        values, previous = state.values, mass(state)
+        for f in range(n_steps):
+            values = plan.advance(values, f)
+            assert np.min(values) >= 0.0
+            current = mass(FieldState(grid=grid, values=values))
+            assert current <= previous * (1.0 + 1e-12)
+            previous = current
 
     def test_config_hash_distinguishes_configs(self):
         a = run(small_config(alpha=1.5, t_end=0.01))
