@@ -67,12 +67,13 @@ def _cmd_simulate(args) -> int:
     text = Path(args.config).read_text()
     config = parse_config(text, base_dir=Path(args.config).resolve().parent)
     out_dir = Path(args.out) if args.out else Path(output_directory(text))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     series = run(config)
     duration = time.perf_counter() - started
 
+    # only now: a run that refuses its config leaves no directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     names = []
     for state in series.snapshots:
         name = _snapshot_filename(state.time)

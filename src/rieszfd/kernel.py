@@ -148,6 +148,18 @@ def _law(params: FractionalParams):
     return c, top - a, pref, cross, terms
 
 
+def _cumulative(terms) -> list[tuple[int, float]]:
+    """(e, C_e) for every shift e of the law but the smallest, C_e the sum
+    of the coefficients of shift >= e.  The shifts are consecutive, and
+    the smallest one's C_e, the sum of all coefficients, is zero in exact
+    arithmetic."""
+    out, cum = [], 0.0
+    for shift, coeff in terms[:-1]:
+        cum += coeff
+        out.append((shift, cum))
+    return out
+
+
 def _powers(bases: np.ndarray, b: float) -> np.ndarray:
     """bases**b, and 0 where a base is nonpositive (also at b = 0, alpha = 2).
 
@@ -162,7 +174,11 @@ def _weights(ks: np.ndarray, params: FractionalParams) -> np.ndarray:
     """w_k for every integer offset in ``ks``, from the one law."""
     c, b, pref, cross, terms = _law(params)
     q = np.abs(ks).astype(float)
-    law = sum(coeff * _powers(q + shift, b) for shift, coeff in terms)
+    powers = {shift: _powers(q + shift, b) for shift, _ in terms}
+    # L(q) = sum_e C_e (P(q+e) - P(q+e-1)): zero-sum whatever the rounding
+    # of the coefficients, and each difference of two adjacent powers is
+    # exact (Sterbenz), so no error grows like q**b
+    law = sum(cum * (powers[shift] - powers[shift - 1]) for shift, cum in _cumulative(terms))
     side = np.where(ks < 0, c.c_left, np.where(ks > 0, c.c_right, c.c_left + c.c_right))
     other = np.where(ks < 0, c.c_right, c.c_left)
     expr = law * side
@@ -266,16 +282,13 @@ def weight_table(params: FractionalParams, k_min: int, k_max: int) -> WeightTabl
 def _tail_core(j: np.ndarray, params: FractionalParams) -> np.ndarray:
     """Shared radial factor of the one-sided tail sums (side coefficient excluded).
 
-    The sum of L(q) over q >= j+1 is -sum_e C_e * (j+e)**b, with C_e the sum
-    of the coefficients of shift >= e.  The smallest shift is skipped: its
-    C_e, the sum of all coefficients, is zero.
+    The sum of L(q) over q >= j+1 is -sum_e C_e * (j+e)**b, C_e as in
+    ``_cumulative``.
     """
     _, b, pref, _, terms = _law(params)
     acc = np.zeros_like(j)
-    cumulative = 0.0
-    for shift, coeff in terms[:-1]:
-        cumulative += coeff
-        acc += cumulative * _powers(j + shift, b)
+    for shift, cum in _cumulative(terms):
+        acc += cum * _powers(j + shift, b)
     return -pref * acc
 
 

@@ -7,9 +7,13 @@ factors it once per run and returns an immutable factorization whose
 - a tridiagonal matrix (every entry past the first off-diagonals is zero,
   as at alpha = 2) is factored by LAPACK ``gttrf`` and solved by ``gttrs``
   in O(N) work;
-- any other Toeplitz matrix is inverted in Gohberg-Semencul form from two
-  Levinson solves, O(N**2) work and O(N) memory once, after which a solve
-  is four FFT calls, O(N log N) work.
+- any other Toeplitz matrix is inverted in Gohberg-Semencul form.  Its
+  two generators, the first and last columns of the inverse, come from
+  GMRES preconditioned by Strang's circulant (G. Strang, Stud. Appl. Math.
+  74, 1986): each iteration is one FFT product with T and one circulant
+  solve, O(N log N) work in O(N) memory, and the implicit systems need a
+  few iterations per generator.  A solve is then four FFT calls, also
+  O(N log N).
 
 The dense LU (``lu_factor``/``lu_solve``, partial row pivoting, LAPACK
 ``getrf``/``getrs``) is the reference the tests and ``verify`` compare the
@@ -22,17 +26,26 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
-from scipy.linalg import LinAlgError, get_lapack_funcs, solve_toeplitz
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import DimensionMismatch, SingularMatrix
 
 PIVOT_FLOOR = 1e-300
 # normwise backward error ||T g - e|| / (||T|| ||g|| + 1), infinity norms,
-# allowed for the two Gohberg-Semencul generators g; the implicit systems
-# measured at most 1.7e-14 for N <= 2000 over valid (alpha, theta),
-# sigma < 1 and ratios K dt / h**alpha in [1e-6, 1e12], and 9.5e-14 at
-# N = 16384
+# allowed for the two Gohberg-Semencul generators g; the GMRES generators
+# of the implicit systems (alpha = 1.5, theta = 0.3 on [-10, 10]) measured
+# at most 3.6e-16 at N = 1000, 2.2e-15 at N = 4096 and 3.4e-15 at
+# N = 16384, Levinson's recursion 2.7e-15, 4.8e-15 and 5.6e-15
 GENERATOR_BACKWARD_ERROR = 1e-10
+# GMRES stops at a 2-norm residual of GMRES_TOLERANCE (||T|| ||C^-1 e|| + 1),
+# C the Strang circulant: the floor that rounding leaves scales with ||T||
+# (6e-14 for a lower triangular T with ||T|| = 1130).  It restarts every
+# GMRES_RESTART iterations and gives up after GMRES_MAX_ITERATIONS in all;
+# the implicit systems took 3 to 13 per generator up to N = 2**17
+GMRES_TOLERANCE = 1e-14
+GMRES_RESTART = 30
+GMRES_MAX_ITERATIONS = 150
 # scipy's gttrf wrapper rejects systems of fewer than three rows
 _GTTRF_MIN_ROWS = 3
 
@@ -129,13 +142,15 @@ class ToeplitzFactorization:
     entries n-1..2n-2 of Jv * b.  ``upper`` holds the spectra of J(Jy) = y
     and J(ZJx), ``lower`` those of x / x_0 and -Zy / x_0, so a solve is
     one forward and one inverse transform of two rows each, and one of
-    each of a single row.
+    each of a single row.  ``iterations`` holds the GMRES iteration count
+    of x and of y.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     size: int
     n: int
+    iterations: tuple[int, int]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         b = _rhs(rhs, self.n)
@@ -153,16 +168,17 @@ def toeplitz_factor(
     A tridiagonal T, read from its zero entries, gets the O(N) LAPACK
     factorization: it keeps the elimination of the dense LU, where the
     FFT products would put rounding noise on every node.  Any other T is
-    inverted in Gohberg-Semencul form; Levinson's recursion needs every
-    leading principal submatrix nonsingular, which holds for the
-    diagonally dominant systems of the implicit step.
+    inverted in Gohberg-Semencul form, with generators from
+    Strang-preconditioned GMRES; that needs T and its Strang circulant
+    nonsingular, not every leading principal submatrix.
 
     Raises ValueError for non-finite entries and DimensionMismatch for
     inputs of unequal or zero length or with different corner entries.
-    Raises SingularMatrix when a pivot falls below 1e-300, when Levinson's
-    recursion fails or gives non-finite generators, when |x_0| is below
-    1e-300, or when the generators' normwise backward error, checked once
-    with the FFT product, exceeds GENERATOR_BACKWARD_ERROR (1e-10).
+    Raises SingularMatrix when a pivot falls below 1e-300, when a Strang
+    eigenvalue has modulus at most 1e-300, when GMRES does not converge within
+    GMRES_MAX_ITERATIONS, when |x_0| is below 1e-300, or when the
+    generators' normwise backward error, checked once with the FFT
+    product, exceeds GENERATOR_BACKWARD_ERROR (1e-10).
     """
     c = np.asarray(first_col, dtype=float)
     r = np.asarray(first_row, dtype=float)
@@ -197,33 +213,76 @@ def _tridiagonal_factor(c: np.ndarray, r: np.ndarray) -> TridiagonalFactorizatio
     return TridiagonalFactorization(dl=dl, d=d, du=du, du2=du2, ipiv=ipiv, n=n)
 
 
-def _gohberg_semencul(c: np.ndarray, r: np.ndarray) -> ToeplitzFactorization:
+def _strang_eigenvalues(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Eigenvalues lambda_0..lambda_{n//2} of the Strang circulant of the
+    Toeplitz matrix with first column c and first row r: the circulant
+    whose first column is c_0..c_{n//2}, then r_{n-n//2-1}..r_1.  The rest
+    are their conjugates."""
     n = len(c)
-    units = np.zeros((n, 2))
-    units[0, 0] = units[-1, 1] = 1.0
-    try:
-        x, y = solve_toeplitz((c, r), units).T
-    except LinAlgError as exc:
-        raise SingularMatrix(f"Levinson recursion failed: {exc}") from exc
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise SingularMatrix("Levinson recursion gave non-finite generators")
-    if abs(x[0]) < PIVOT_FLOOR:
-        raise SingularMatrix("|x_0| below 1e-300; matrix is singular to working precision")
+    return fft.rfft(np.concatenate((c[: n // 2 + 1], r[1 : n - n // 2][::-1])))
+
+
+def _generators(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """x = T^-1 e_1 and y = T^-1 e_n by Strang-preconditioned GMRES, and
+    the iteration count of each; checked for their backward error."""
+    n = len(c)
     m = fft.next_fast_len(2 * n - 1, real=True)
     # T g = entries n-1..2n-2 of (r_{n-1}..r_1, c_0..c_{n-1}) * g
-    generators = np.stack((x, y))
-    product = fft.irfft(fft.rfft(np.concatenate((r[:0:-1], c)), m) * fft.rfft(generators, m), m)
-    residual = product[:, n - 1 : 2 * n - 1] - units.T
+    kernel = fft.rfft(np.concatenate((r[:0:-1], c)), m)
+
+    def product(g: np.ndarray) -> np.ndarray:
+        return fft.irfft(kernel * fft.rfft(g, m), m)[..., n - 1 : 2 * n - 1]
+
+    eigenvalues = _strang_eigenvalues(c, r)
+    if np.min(np.abs(eigenvalues)) <= PIVOT_FLOOR:
+        raise SingularMatrix("Strang circulant is singular to working precision")
+
+    def precondition(v: np.ndarray) -> np.ndarray:
+        return fft.irfft(fft.rfft(v) / eigenvalues, n)
+
+    operator = LinearOperator((n, n), matvec=product, dtype=float)
+    preconditioner = LinearOperator((n, n), matvec=precondition, dtype=float)
     norm = np.sum(np.abs(c)) + np.sum(np.abs(r[1:]))
+    units = np.zeros((2, n))
+    units[0, 0] = units[1, -1] = 1.0
+    solved, iterations = [], []
+    for unit in units:
+        residuals: list[float] = []
+        g, info = gmres(
+            operator,
+            unit,
+            rtol=GMRES_TOLERANCE,
+            atol=GMRES_TOLERANCE * (norm * np.max(np.abs(precondition(unit))) + 1.0),
+            restart=GMRES_RESTART,
+            maxiter=GMRES_MAX_ITERATIONS // GMRES_RESTART,
+            M=preconditioner,
+            callback=residuals.append,
+            callback_type="pr_norm",
+        )
+        if info != 0:
+            raise SingularMatrix(f"GMRES did not converge in {GMRES_MAX_ITERATIONS} iterations")
+        solved.append(g)
+        iterations.append(len(residuals))
+    generators = np.stack(solved)
+    residual = product(generators) - units
     error = np.max(np.abs(residual)) / (norm * np.max(np.abs(generators)) + 1.0)
     if not error <= GENERATOR_BACKWARD_ERROR:
         raise SingularMatrix(
             f"Toeplitz generators have backward error {error:.1e} above "
-            f"{GENERATOR_BACKWARD_ERROR:.0e}; a leading principal submatrix is near singular"
+            f"{GENERATOR_BACKWARD_ERROR:.0e}; the matrix is near singular"
         )
+    return solved[0], solved[1], (iterations[0], iterations[1])
+
+
+def _gohberg_semencul(c: np.ndarray, r: np.ndarray) -> ToeplitzFactorization:
+    x, y, iterations = _generators(c, r)
+    if abs(x[0]) < PIVOT_FLOOR:
+        raise SingularMatrix("|x_0| below 1e-300; matrix is singular to working precision")
+    n = len(c)
+    m = fft.next_fast_len(2 * n - 1, real=True)
     shifted_y = np.concatenate(([0.0], y[:-1]))  # Zy
     lower = fft.rfft(np.stack((x, -shifted_y)) / x[0], m)
     # reversed first rows of U(Jy) and U(ZJx): y and (x_1, ..., x_{n-1}, 0)
     upper = fft.rfft(np.stack((y, np.concatenate((x[1:], [0.0])))), m)
     _frozen(lower, upper)
-    return ToeplitzFactorization(lower=lower, upper=upper, size=m, n=n)
+    return ToeplitzFactorization(lower=lower, upper=upper, size=m, n=n, iterations=iterations)

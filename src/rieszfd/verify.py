@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid import BoundarySpec, FieldState, InitialCondition, build_grid
 from .kernel import TailSums, validate_params, weight_table
-from .linalg import lu_factor, lu_solve
+from .linalg import ToeplitzFactorization, lu_factor, lu_solve
 from .oracles import (
     AnalyticKernel,
     CAUCHY,
@@ -25,7 +25,7 @@ from .oracles import (
     tail_oracle,
     weight_oracle,
 )
-from .schemes import SchemeConfig, assemble_system, implicit_step, max_stable_dt
+from .schemes import SchemeConfig, assemble_system, implicit_step, max_stable_dt, step_plan
 from .simulate import DtPolicy, SimulationConfig, run, snapshot_error
 
 # frozen 6-decimal reference weights for theta = 0; the near-1 column is a
@@ -173,8 +173,8 @@ IMPLICIT_CASES = (
 def _check_implicit_solve() -> CheckResult:
     """One implicit step through the Toeplitz solve against the dense LU of
     the whole system, at ratio K dt / h**alpha = 0.8 and nonzero boundary
-    values."""
-    worst = 0.0
+    values; reports the most GMRES iterations a generator took."""
+    worst, iterations = 0.0, 0
     for alpha, theta, sigma, n in IMPLICIT_CASES:
         params = validate_params(alpha, theta)
         grid = build_grid(0.0, 1.0, n)
@@ -187,11 +187,16 @@ def _check_implicit_solve() -> CheckResult:
         state = FieldState(grid=grid, values=np.cos(np.arange(n + 1.0)))
         dense = assemble_system(state, cfg, table, tails)
         expected = lu_solve(lu_factor(dense.matrix), dense.rhs)
-        got = implicit_step(state, cfg, table, tails).values
+        plan = step_plan(cfg, table, tails, n, grid.h)
+        got = implicit_step(state, cfg, table, tails, plan).values
         diff = np.max(np.abs(got[1:-1] - expected[1:-1])) / np.max(np.abs(expected))
         worst = max(worst, diff)
+        if isinstance(plan.factorization, ToeplitzFactorization):
+            iterations = max(iterations, *plan.factorization.iterations)
     return CheckResult(
-        "Toeplitz implicit solve matches dense LU", worst <= 1e-12, f"max rel. diff = {worst:.2e}"
+        "Toeplitz implicit solve matches dense LU",
+        worst <= 1e-12,
+        f"max rel. diff = {worst:.2e}, GMRES iterations per generator <= {iterations}",
     )
 
 

@@ -320,7 +320,7 @@ class TestCli:
         config_path.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
         assert "budget" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override, key", NON_FINITE_INPUTS)
     def test_simulate_non_finite_inputs_exit_2(self, tmp_path, capsys, override, key):

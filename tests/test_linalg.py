@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import matmul_toeplitz, solve_toeplitz, toeplitz
 
-from rieszfd import DimensionMismatch, SingularMatrix, lu_factor, lu_solve
-from rieszfd.linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
+from rieszfd import (
+    DimensionMismatch,
+    SingularMatrix,
+    build_grid,
+    lu_factor,
+    lu_solve,
+    validate_params,
+    weight_table,
+)
+from rieszfd.linalg import (
+    ToeplitzFactorization,
+    TridiagonalFactorization,
+    _generators,
+    toeplitz_factor,
+)
 
 
 def test_identity():
@@ -108,11 +121,56 @@ def test_toeplitz_input_validation():
 
 
 @pytest.mark.parametrize("first_col, first_row", [
+    ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0]),
+    ([1e-20, 1.0, 1.0], [1e-20, 1.0, 2.0]),
+], ids=["zero-leading-minor", "tiny-leading-minor"])
+def test_toeplitz_without_regular_leading_minors_is_solved(first_col, first_row):
+    # both matrices have condition number 2.9; only a recursion over the
+    # leading principal submatrices, such as Levinson's, breaks down on them
+    c, r = np.array(first_col), np.array(first_row)
+    b = np.array([0.3, -1.0, 2.0])
+    x = toeplitz_factor(c, r).solve(b)
+    assert np.max(np.abs(x - np.linalg.solve(toeplitz(c, r), b))) <= 1e-14
+
+
+@pytest.mark.parametrize("first_col, first_row", [
     ([1.0, 1.0], [1.0, 1.0]),  # rank one, tridiagonal
-    ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),  # rank one: Levinson breaks down
-    ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0]),  # zero leading principal submatrix
-    ([1e-20, 1.0, 1.0], [1e-20, 1.0, 2.0]),  # near-singular one: backward error 0.33
+    ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),  # rank one: the Strang circulant is singular too
 ])
 def test_singular_toeplitz_rejected(first_col, first_row):
     with pytest.raises(SingularMatrix):
         toeplitz_factor(np.array(first_col), np.array(first_row))
+
+
+def _implicit_system(n_cells, alpha=1.5, theta=0.3, sigma=0.5, dt=2.5e-4):
+    # first column and row of T = I + (sigma - 1) K dt / h**alpha W on [-10, 10]
+    h = build_grid(-10.0, 10.0, n_cells).h
+    w = weight_table(validate_params(alpha, theta), -(n_cells - 1), n_cells - 1).weights
+    ratio = (sigma - 1.0) * dt / h**alpha
+    ks = np.arange(n_cells - 1)
+    c, r = ratio * w[n_cells - 1 - ks], ratio * w[n_cells - 1 + ks]
+    c[0] += 1.0
+    r[0] += 1.0
+    return c, r
+
+
+def test_generators_match_levinson_at_scale():
+    c, r = _implicit_system(4096)
+    x, y, _ = _generators(c, r)
+    units = np.zeros((len(c), 2))
+    units[0, 0] = units[-1, 1] = 1.0
+    reference = solve_toeplitz((c, r), units).T
+    assert np.max(np.abs(np.stack((x, y)) - reference)) <= 5e-14
+    norm = np.sum(np.abs(c)) + np.sum(np.abs(r[1:]))
+    for g, e in zip((x, y), units.T):
+        error = np.max(np.abs(matmul_toeplitz((c, r), g) - e)) / (norm * np.max(np.abs(g)) + 1.0)
+        assert error <= 1e-14
+
+
+def test_generator_iterations_stay_few_at_scale():
+    # the Strang preconditioner clusters the spectrum: the iteration count
+    # grows slowly with N (7 measured at N = 16384, 5 at N = 1000)
+    fact = toeplitz_factor(*_implicit_system(16384))
+    assert isinstance(fact, ToeplitzFactorization)
+    assert all(1 <= count <= 12 for count in fact.iterations)
+    assert fact.iterations == toeplitz_factor(*_implicit_system(16384)).iterations

@@ -36,6 +36,7 @@ from rieszfd import (
     weight_table,
 )
 from rieszfd.kernel import DEFAULT_ALPHA_ONE_GUARD, _convolve_interior
+from rieszfd.linalg import _strang_eigenvalues
 from rieszfd.schemes import step_plan
 
 # orders anywhere in (0, 2], plus a band on both sides of the guard around 1
@@ -168,6 +169,9 @@ def test_apply_equals_the_dense_product(case):
 @example(((2.0, 0.0), 2, 0))
 @example(((0.5, 0.5), 3, 0))
 @example((NEAR_ZERO[0], NEAR_ZERO[1] + 1, 0))
+# a law whose coefficients sum to 4.4e-16, not 0, in floating point: if
+# the weights took that sum, their error would grow like q**b
+@example(((1.0086072905446921, 0.0), 247, 0))
 def test_update_coefficients_sum_to_one(case):
     # at sigma = 1 row i updates by the fused stencil entries
     # delta_k0 + r w_k that land on the nodes, k in [-i, N-i], and by the
@@ -215,6 +219,26 @@ def test_implicit_step_matches_the_dense_solve(case):
                                    BoundarySpec.constant(gr), 0)
 
 
+@PROPERTY_SETTINGS
+@given(implicit_steps())
+@example(((0.9921875, -0.9921875), 0.0, 4, 10.0**2.75, (1.0, 1.0)))
+@example((NEAR_ZERO[0], 0.0, 300, 1e3, (1.0, 1.0)))
+def test_strang_preconditioner_of_the_implicit_system_is_nonsingular(case):
+    # the Strang circulant of T = I + (sigma - 1) r W has the eigenvalues
+    # 1 + (sigma - 1) r sum_{|k| <= n/2} w_k e^(i k phi), n = N - 1.  The
+    # off-centre weights are nonnegative and the truncated sum is at most
+    # zero, so every real part is at least 1, up to the rounding of r w
+    (alpha, theta), sigma, n, r, _ = case
+    w = weight_table(validate_params(alpha, theta), -(n - 1), n - 1).weights
+    ks = np.arange(n - 1)
+    first_col = (sigma - 1.0) * r * w[n - 1 - ks]
+    first_row = (sigma - 1.0) * r * w[n - 1 + ks]
+    first_col[0] += 1.0
+    first_row[0] += 1.0
+    eigenvalues = _strang_eigenvalues(first_col, first_row)
+    assert np.min(eigenvalues.real) >= 1.0 - 1e-12 * r * np.max(np.abs(w))
+
+
 @st.composite
 def time_table_steps(draw):
     """A valid (alpha, theta) pair, sigma in {0, 1/2, 1}, a cell count N,
@@ -230,6 +254,9 @@ def time_table_steps(draw):
 @given(time_table_steps())
 @example(((2.0, 0.0), 1.0, 2, 1.0, 0, (1.0, -0.5, 0.0, 2.0)))
 @example(((0.5, -0.5), 0.5, 40, 10.0, 3, (0.3, 1.2, -1.0, 0.0)))
+# lower triangular T with cond 4 and ||T|| about 1130: GMRES stops at a
+# residual that scales with ||T||, as the rounding floor does
+@example(((0.9921875, -0.9921875), 0.0, 4, 10.0**2.75, 0, (0.0, 0.0, 0.0, 0.0)))
 def test_time_table_boundaries_match_the_dense_solve(case):
     (alpha, theta), sigma, n, r, f, (l0, l1, r0, r1) = case
     grid = build_grid(0.0, 1.0, n)
