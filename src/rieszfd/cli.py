@@ -12,6 +12,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from ._version import __version__
 from .config import build_manifest, output_directory, parse_config, write_manifest
 from .errors import ValidationError
@@ -29,11 +31,10 @@ def _fmt(value: float) -> str:
 
 
 def write_snapshot_csv(state: FieldState, path) -> None:
-    """Write one profile as ``x,C`` rows, one per node, full precision."""
-    xs = state.grid.nodes()
-    lines = ["x,C"]
-    lines.extend(f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, state.values))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write one profile as ``x,C`` rows, one per node, full precision: one
+    %-format giving the bytes of ``_fmt`` row by row, read back bit for bit."""
+    pairs = np.column_stack((state.grid.nodes(), state.values)).ravel().tolist()
+    Path(path).write_text("x,C\n" + "%.17g,%.17g\n" * (len(pairs) // 2) % tuple(pairs))
 
 
 def read_profile_csv(path) -> tuple[list[float], list[float]]:
@@ -59,8 +60,13 @@ def read_profile_csv(path) -> tuple[list[float], list[float]]:
     return xs, values
 
 
-def _snapshot_filename(t: float) -> str:
-    return f"snapshot_{t:.6f}.csv"
+def _snapshot_filenames(times: list[float]) -> list[str]:
+    """``snapshot_<t>.csv`` with the fewest decimals, at least 6, that keep
+    the names of one run's distinct times distinct."""
+    digits = 6
+    while len({f"{t:.{digits}f}" for t in times}) < len(set(times)):
+        digits += 1
+    return [f"snapshot_{t:.{digits}f}.csv" for t in times]
 
 
 def _cmd_simulate(args) -> int:
@@ -74,11 +80,9 @@ def _cmd_simulate(args) -> int:
 
     # only now: a run that refuses its config leaves no directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for state in series.snapshots:
-        name = _snapshot_filename(state.time)
+    names = _snapshot_filenames([state.time for state in series.snapshots])
+    for state, name in zip(series.snapshots, names):
         write_snapshot_csv(state, out_dir / name)
-        names.append(name)
     manifest = build_manifest(series, duration, output_dir=str(out_dir))
     write_manifest(manifest, out_dir / "manifest.json")
     if args.plot_script:

@@ -220,35 +220,35 @@ class WeightTable:
             )
 
     @cached_property
-    def _reversed_stencil(self) -> np.ndarray:
-        """w_K, ..., w_-K, contiguous, for the reach K: the largest |k| of a
-        nonzero weight in the symmetric part of the window, and at least 1."""
+    def _stencil(self) -> np.ndarray:
+        """w_-K, ..., w_K for the reach K: the largest |k| of a nonzero
+        weight in the symmetric part of the window, and at least 1."""
         m = min(-self.k_min, self.k_max)
         centred = self.weights[-self.k_min - m : -self.k_min + m + 1]
         offsets = np.abs(np.arange(-m, m + 1))[centred != 0.0]
         reach = max(1, int(offsets.max(initial=0)))
-        return np.ascontiguousarray(centred[m - reach : m + reach + 1][::-1])
+        return centred[m - reach : m + reach + 1]
 
-    def _interior_stencil(self, n: int) -> tuple[np.ndarray, int]:
-        """The reversed stencil trimmed to r = min(K, N-1) for an N-cell
-        grid, and the zero padding ``_convolve_interior`` gives the state."""
-        rev = self._reversed_stencil
-        reach = len(rev) // 2
+    def _node_stencil(self, n: int) -> tuple[np.ndarray, str]:
+        """The stencil trimmed to r = min(K, N-1) for an N-cell grid and the
+        ``np.correlate`` mode that gives one output per node: "same" while
+        2r+1 <= N+1, else "valid" on the stencil zero-extended to 2N+1."""
+        reach = len(self._stencil) // 2
         r = min(reach, n - 1)
-        # at r = N-1 np.convolve slides the state along the longer stencil
-        return rev[reach - r : reach + r + 1], 0 if r in (1, n - 1) else r - 1
+        stencil = self._stencil[reach - r : reach + r + 1]
+        return (stencil, "same") if 2 * r + 1 <= n + 1 else (np.pad(stencil, n - r), "valid")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """W @ values for the matrix W of ``application_matrix``, without forming W.
 
-        One direct convolution with the stencil trimmed to r = min(K, N-1):
-        each interior row takes its 2r+1 products, the full dense row at
-        r = N-1 and three at alpha = 2.  Rows nearer than r to an end read
-        zero padding where the dense row has no column.
+        One direct correlation with the stencil trimmed to r = min(K, N-1),
+        one output per node (``_node_stencil``): each interior row takes its
+        2r+1 products, the full dense row at r = N-1 and three at alpha = 2,
+        less those that fall outside the grid, where W has no column.
         """
         n = len(values) - 1
         self._require_window(n)
-        return _convolve_interior(values, *self._interior_stencil(n))
+        return np.correlate(values, *self._node_stencil(n))[1:-1]
 
     def application_matrix(self, n_cells: int) -> np.ndarray:
         """(N-1, N+1) matrix W with W[i-1, j] = w_{j-i} for interior rows i.
@@ -261,13 +261,6 @@ class WeightTable:
         self._require_window(n)
         offsets = np.arange(n + 1)[None, :] - np.arange(1, n)[:, None] - self.k_min
         return self.weights[offsets]
-
-
-def _convolve_interior(values: np.ndarray, stencil: np.ndarray, pad: int) -> np.ndarray:
-    """The N-1 interior rows of the convolution of N+1 nodal values with a
-    reversed stencil, padded as ``WeightTable._interior_stencil`` says."""
-    padded = values if pad == 0 else np.pad(values, pad)
-    return np.convolve(padded, stencil, "valid")
 
 
 def weight_table(params: FractionalParams, k_min: int, k_max: int) -> WeightTable:

@@ -9,10 +9,10 @@ Boundary data is evaluated at half steps t = dt*(f + 1/2).
 
 Every coefficient of a step is fixed for a run, so ``step_plan`` builds
 them once, in O(N) memory, and below sigma = 1 factors the interior
-Toeplitz system; a step is then one convolution, an axpy per nonzero
-boundary value and an O(N log N) solve.  ``rf_apply_bounded`` and the
-dense ``assemble_system`` are the reference the tests and ``verify``
-compare with.
+Toeplitz system; a step is then one correlation that writes the new
+state node by node, an axpy per nonzero boundary value and an O(N log N)
+solve.  ``rf_apply_bounded`` and the dense ``assemble_system`` are the
+reference the tests and ``verify`` compare with.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import BoundarySpec, FieldState, boundary_at_half_step
-from .kernel import FractionalParams, TailSums, WeightTable, _convolve_interior, weight
+from .kernel import FractionalParams, TailSums, WeightTable, weight
 from .linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
 
 
@@ -114,18 +114,18 @@ class StepPlan:
 
     With r = K dt / h**alpha the step solves T C^{f+1} = P C^f + g_L left
     + g_R right on the interior nodes, T = I + (sigma - 1) r W and
-    P = I + sigma r W.  ``stencil`` is P's row, reversed and trimmed to its
-    reach, for the state padded with ``pad`` zeros (None at sigma = 0,
-    P = I); ``left``/``right`` are r s_L(i)/r s_R(N-i) minus T's Dirichlet
-    columns (sigma - 1) r w_{-i}/w_{N-i}; ``factorization`` is T's (None
-    at sigma = 1, T = I).
+    P = I + sigma r W.  ``stencil`` is P's row trimmed to its reach, with
+    the ``np.correlate`` ``mode`` that gives one output per node (None and
+    "" at sigma = 0, P = I); ``left``/``right`` are r s_L(i)/r s_R(N-i)
+    minus T's Dirichlet columns (sigma - 1) r w_{-i}/w_{N-i};
+    ``factorization`` is T's (None at sigma = 1, T = I).
     """
 
     dt: float
     bc_left: BoundarySpec
     bc_right: BoundarySpec
     stencil: np.ndarray | None
-    pad: int
+    mode: str
     left: np.ndarray
     right: np.ndarray
     factorization: ToeplitzFactorization | TridiagonalFactorization | None
@@ -136,17 +136,16 @@ class StepPlan:
         g_left = boundary_at_half_step(self.bc_left, self.dt, f)
         g_right = boundary_at_half_step(self.bc_right, self.dt, f)
         if self.stencil is None:
-            rhs = values[1:-1].copy()
+            new = values.copy()
         else:
-            rhs = _convolve_interior(values, self.stencil, self.pad)
+            new = np.correlate(values, self.stencil, self.mode)
         if g_left != 0.0:
-            rhs += g_left * self.left
+            new[1:-1] += g_left * self.left
         if g_right != 0.0:
-            rhs += g_right * self.right
+            new[1:-1] += g_right * self.right
         if self.factorization is not None:
-            rhs = self.factorization.solve(rhs)
-        new = np.empty(len(values))
-        new[0], new[1:-1], new[-1] = g_left, rhs, g_right
+            new[1:-1] = self.factorization.solve(new[1:-1])
+        new[0], new[-1] = g_left, g_right
         return new
 
 
@@ -156,7 +155,8 @@ def step_plan(
     """Build the coefficients of a step once per run; O(N) memory.
 
     They are read from the weight table, which must cover [-(N-1), N-1].
-    T is factored only below sigma = 1.
+    The stencil's correlation mode is picked once, by
+    ``WeightTable._node_stencil``.  T is factored only below sigma = 1.
     """
     n = int(n_cells)
     table._require_window(n)
@@ -175,15 +175,15 @@ def step_plan(
         first_col[0] += 1.0
         first_row[0] += 1.0
         factorization = toeplitz_factor(first_col, first_row)
-    stencil, pad = None, 0
+    stencil, mode = None, ""
     if cfg.sigma != 0.0:
-        stencil, pad = table._interior_stencil(n)
+        stencil, mode = table._node_stencil(n)
         stencil = cfg.sigma * r * stencil
         stencil[len(stencil) // 2] += 1.0
         stencil.setflags(write=False)
     left.setflags(write=False)
     right.setflags(write=False)
-    return StepPlan(dt, cfg.bc_left, cfg.bc_right, stencil, pad, left, right, factorization)
+    return StepPlan(dt, cfg.bc_left, cfg.bc_right, stencil, mode, left, right, factorization)
 
 
 @dataclass(frozen=True)

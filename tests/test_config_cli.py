@@ -201,6 +201,17 @@ class TestSnapshotCsv:
         assert np.array_equal(np.array(back), values)
         assert np.array_equal(np.array(xs), grid.nodes())
 
+    def test_rows_match_per_row_format_and_round_trip(self, tmp_path):
+        grid = build_grid(-1.0, 1.0, 5)
+        values = np.array([0.0, -0.0, 5e-324, 1e308, -1.2345678901234567e-300, 1.0 / 3.0])
+        path = tmp_path / "snap.csv"
+        write_snapshot_csv(FieldState(grid=grid, values=values), path)
+        rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(grid.nodes(), values))
+        assert path.read_bytes() == ("x,C\n" + rows).encode()
+        xs, back = read_profile_csv(path)
+        assert np.array_equal(np.array(xs), grid.nodes())
+        assert np.array(back).tobytes() == values.tobytes()  # -0.0 keeps its sign
+
     def test_delta_row_placement(self, tmp_path):
         grid = build_grid(-10.0, 10.0, 1000)
         state = sample_initial(InitialCondition.delta(), grid)
@@ -299,6 +310,21 @@ class TestCli:
         assert manifest["resolved"]["n_steps"] >= 1
         reparsed = parse_config(manifest["config"])
         assert reparsed == parse_config(config_path.read_text())
+
+    def test_simulate_names_close_snapshots_apart(self, tmp_path, capsys):
+        # 1e-6 and 1.4e-6 share six decimals; every snapshot keeps its own file
+        doc = tiny_document(n_cells=200, t_end=4e-6, snapshots=[1e-6, 1.4e-6, 2e-6, 3e-6, 4e-6])
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        assert "wrote 6 snapshot(s)" in capsys.readouterr().out
+        files = sorted(out_dir.glob("snapshot_*.csv"), key=lambda p: float(p.stem[9:]))
+        series = run(parse_config(json.dumps(doc)))
+        assert len(files) == len(series.snapshots) == 6
+        for path, state in zip(files, series.snapshots):
+            assert float(path.stem[9:]) == pytest.approx(state.time, abs=1e-12)
+            assert np.array_equal(read_profile_csv(path)[1], state.values)
 
     def test_simulate_out_flag_overrides_config(self, tmp_path):
         config_path = tmp_path / "run.json"

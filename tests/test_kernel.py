@@ -186,11 +186,11 @@ class TestApply:
             tol = 1e-13 * np.max(np.abs(dense)) * np.max(np.abs(u)) * n
             assert np.max(np.abs(table.apply(u) - dense @ u)) <= tol
             # the stencil is trimmed to the nonzero reach once per table
-            assert table._reversed_stencil.size == 2 * reach + 1
+            assert table._stencil.size == 2 * reach + 1
 
     def test_alpha_two_reaches_one_node(self):
         table = weight_table(validate_params(2.0, 0.0), -99, 99)
-        assert table._reversed_stencil.tolist() == [1.0, -2.0, 1.0]
+        assert table._stencil.tolist() == [1.0, -2.0, 1.0]
         u = np.arange(101.0) ** 2
         assert table.apply(u).tolist() == [2.0] * 99
 

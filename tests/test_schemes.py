@@ -11,6 +11,7 @@ from rieszfd import (
     SimulationConfig,
     TailSums,
     UnstableTimestep,
+    WeightTable,
     WindowTooSmall,
     assemble_system,
     boundary_at_half_step,
@@ -331,6 +332,37 @@ class TestImplicitStep:
         a = implicit_step(state, cfg, table, tails)
         b = implicit_step(state, cfg, table, tails, plan=plan)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
+    def test_node_aligned_step_at_every_reach(self, n):
+        # synthetic tables of every reach, as TestApply builds them: the
+        # plan correlates in "same" mode while 2r+1 <= N+1, r = min(reach,
+        # N-1), and in "valid" mode on the zero-extended stencil beyond, so
+        # even N switch past 2r+1 = N+1 and odd N at 2r+1 = N+2
+        rng = np.random.default_rng(n)
+        params = validate_params(1.5, 0.3)
+        grid = build_grid(0.0, 1.0, n)
+        tails = TailSums(params)
+        m = n + 2
+        ks = np.arange(-m, m + 1)
+        values = rng.uniform(-1.0, 1.0, n + 1)
+        modes = set()
+        for reach in range(1, m + 1):
+            w = np.where(np.abs(ks) <= reach, rng.uniform(0.5, 1.5, ks.size), 0.0)
+            table = WeightTable(params, -m, m, w)
+            for sigma in (0.0, 0.5, 1.0):
+                # r = 0.01 keeps T = I + (sigma - 1) r W diagonally dominant
+                cfg = SchemeConfig(params=params, k_alpha=1.0, dt=0.01 * grid.h**1.5,
+                                   sigma=sigma, bc_left=BoundarySpec.constant(0.7),
+                                   bc_right=BoundarySpec.constant(-0.4))
+                plan = step_plan(cfg, table, tails, n, grid.h)
+                modes.add(plan.mode)
+                got = plan.advance(values, 0)
+                dense = assemble_system(FieldState(grid=grid, values=values), cfg, table, tails)
+                expected = np.linalg.solve(dense.matrix, dense.rhs)
+                assert got[0] == 0.7 and got[-1] == -0.4
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert modes == ({"", "same"} if n == 2 else {"", "same", "valid"})
 
     def test_half_step_boundary_values_used(self):
         # time-dependent boundary: value at dt*(f + 1/2) lands on the nodes
