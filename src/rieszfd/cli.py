@@ -8,6 +8,7 @@ Subcommands: simulate, weights, stability, verify, converge.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -151,6 +152,7 @@ def _cmd_converge(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; each parse_args gets a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rieszfd",
@@ -201,8 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -221,7 +221,7 @@ def parse_config(text_or_mapping, base_dir: Path | None = None) -> SimulationCon
             scheme=scheme,
             initial=initial,
             t_end=_number(doc["t_end"], "t_end"),
-            snapshot_times=tuple(float(t) for t in snapshots),
+            snapshot_times=tuple(_number(t, f"snapshots[{i}]") for i, t in enumerate(snapshots)),
             dt_policy=policy,
         )
     except ValidationError:

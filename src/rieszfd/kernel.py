@@ -297,24 +297,23 @@ class TailSums:
     params: FractionalParams
 
     def left(self, j):
-        return self._eval(j, left_side=True)
+        return self._sides(j)[0]
 
     def right(self, j):
-        return self._eval(j, left_side=False)
+        return self._sides(j)[1]
 
-    def _eval(self, j, left_side: bool):
+    def _sides(self, j):
+        """(left(j), right(j)), one evaluation of the radial factor for both."""
         jarr = np.asarray(j, dtype=float)
         if np.any(jarr < 1):
             raise ValueError("tail sums are defined for j >= 1 only")
         c = rf_coefficients(self.params)
-        side = c.c_left if left_side else c.c_right
-        out = side * _tail_core(jarr, self.params)
+        core = _tail_core(jarr, self.params)
         if np.ndim(j) == 0:
-            return float(out)
-        return out
+            core = float(core)
+        return c.c_left * core, c.c_right * core
 
     def interior_arrays(self, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
         """(left(1..N-1), right(1..N-1)) vectors for an N-cell grid."""
-        js = np.arange(1, int(n_cells))
-        return self.left(js), self.right(js)
+        return self._sides(np.arange(1, int(n_cells)))
 

@@ -9,11 +9,11 @@ factors it once per run and returns an immutable factorization whose
   in O(N) work;
 - any other Toeplitz matrix is inverted in Gohberg-Semencul form.  Its
   two generators, the first and last columns of the inverse, come from
-  GMRES preconditioned by Strang's circulant (G. Strang, Stud. Appl. Math.
-  74, 1986): each iteration is one FFT product with T and one circulant
-  solve, O(N log N) work in O(N) memory, and the implicit systems need a
-  few iterations per generator.  A solve is then four FFT calls, also
-  O(N log N).
+  one GMRES solve of the pair, preconditioned by Strang's circulant (G.
+  Strang, Stud. Appl. Math. 74, 1986) at a fast FFT length p >= n: an
+  iteration is one FFT product with T and one circulant solve for both,
+  O(N log N) work in O(N) memory, and the implicit systems need a few.
+  A solve is then four FFT calls, also O(N log N).
 
 The dense LU (``lu_factor``/``lu_solve``, partial row pivoting, LAPACK
 ``getrf``/``getrs``) is the reference the tests and ``verify`` compare the
@@ -35,17 +35,20 @@ PIVOT_FLOOR = 1e-300
 # normwise backward error ||T g - e|| / (||T|| ||g|| + 1), infinity norms,
 # allowed for the two Gohberg-Semencul generators g; the GMRES generators
 # of the implicit systems (alpha = 1.5, theta = 0.3 on [-10, 10]) measured
-# at most 3.6e-16 at N = 1000, 2.2e-15 at N = 4096 and 3.4e-15 at
+# at most 9.6e-17 at N = 1000, 2.3e-16 at N = 4096 and 2.7e-16 at
 # N = 16384, Levinson's recursion 2.7e-15, 4.8e-15 and 5.6e-15
 GENERATOR_BACKWARD_ERROR = 1e-10
 # GMRES stops at a 2-norm residual of GMRES_TOLERANCE (||T|| ||C^-1 e|| + 1),
 # C the Strang circulant: the floor that rounding leaves scales with ||T||
 # (6e-14 for a lower triangular T with ||T|| = 1130).  It restarts every
 # GMRES_RESTART iterations and gives up after GMRES_MAX_ITERATIONS in all;
-# the implicit systems took 3 to 13 per generator up to N = 2**17
+# the pair took 3 to 6 at alpha 0.7 to 1.9 on [-10, 10] up to N = 2**17
 GMRES_TOLERANCE = 1e-14
 GMRES_RESTART = 30
 GMRES_MAX_ITERATIONS = 150
+# Strang's circulant is taken at next_fast_len(n + n // _STRANG_MARGIN): at
+# p = n the pair took up to 9 iterations, against 5 (N = 16384, alpha = 1.9)
+_STRANG_MARGIN = 16
 # scipy's gttrf wrapper rejects systems of fewer than three rows
 _GTTRF_MIN_ROWS = 3
 
@@ -142,15 +145,15 @@ class ToeplitzFactorization:
     entries n-1..2n-2 of Jv * b.  ``upper`` holds the spectra of J(Jy) = y
     and J(ZJx), ``lower`` those of x / x_0 and -Zy / x_0, so a solve is
     one forward and one inverse transform of two rows each, and one of
-    each of a single row.  ``iterations`` holds the GMRES iteration count
-    of x and of y.
+    each of a single row.  ``iterations`` is the GMRES iteration count of
+    the one solve that gave x and y together.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     size: int
     n: int
-    iterations: tuple[int, int]
+    iterations: int
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         b = _rhs(rhs, self.n)
@@ -213,65 +216,62 @@ def _tridiagonal_factor(c: np.ndarray, r: np.ndarray) -> TridiagonalFactorizatio
     return TridiagonalFactorization(dl=dl, d=d, du=du, du2=du2, ipiv=ipiv, n=n)
 
 
-def _strang_eigenvalues(c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Eigenvalues lambda_0..lambda_{n//2} of the Strang circulant of the
-    Toeplitz matrix with first column c and first row r: the circulant
-    whose first column is c_0..c_{n//2}, then r_{n-n//2-1}..r_1.  The rest
-    are their conjugates."""
-    n = len(c)
-    return fft.rfft(np.concatenate((c[: n // 2 + 1], r[1 : n - n // 2][::-1])))
+def _strang_eigenvalues(c: np.ndarray, r: np.ndarray, p: int) -> np.ndarray:
+    """Eigenvalues lambda_0..lambda_{p//2} of the p x p Strang circulant of
+    the n x n Toeplitz matrix with first column c and first row r,
+    n <= p <= 2n - 1: the circulant whose first column is c_0..c_{p//2},
+    then r_{p-p//2-1}..r_1.  The rest are their conjugates."""
+    return fft.rfft(np.concatenate((c[: p // 2 + 1], r[1 : p - p // 2][::-1])))
 
 
-def _generators(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """x = T^-1 e_1 and y = T^-1 e_n by Strang-preconditioned GMRES, and
-    the iteration count of each; checked for their backward error."""
+def _generators(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """x = T^-1 e_1 and y = T^-1 e_n by one GMRES solve of the stacked pair
+    (both blocks are T, so one Krylov polynomial serves both), and its
+    iteration count; checked for their backward error.  The preconditioner
+    is the p x p Strang circulant C_p, p >= n, applied as (C_p^-1 [v; 0])[:n]."""
     n = len(c)
     m = fft.next_fast_len(2 * n - 1, real=True)
-    # T g = entries n-1..2n-2 of (r_{n-1}..r_1, c_0..c_{n-1}) * g
+    # T g = entries n-1..2n-2 of (r_{n-1}..r_1, c_0..c_{n-1}) * g, per half g
     kernel = fft.rfft(np.concatenate((r[:0:-1], c)), m)
 
     def product(g: np.ndarray) -> np.ndarray:
-        return fft.irfft(kernel * fft.rfft(g, m), m)[..., n - 1 : 2 * n - 1]
+        return fft.irfft(kernel * fft.rfft(g.reshape(2, n), m), m)[:, n - 1 : 2 * n - 1].ravel()
 
-    eigenvalues = _strang_eigenvalues(c, r)
+    p = fft.next_fast_len(n + n // _STRANG_MARGIN, real=True)
+    eigenvalues = _strang_eigenvalues(c, r, p)
     if np.min(np.abs(eigenvalues)) <= PIVOT_FLOOR:
         raise SingularMatrix("Strang circulant is singular to working precision")
 
     def precondition(v: np.ndarray) -> np.ndarray:
-        return fft.irfft(fft.rfft(v) / eigenvalues, n)
+        return fft.irfft(fft.rfft(v.reshape(2, n), p) / eigenvalues, p)[:, :n].ravel()
 
-    operator = LinearOperator((n, n), matvec=product, dtype=float)
-    preconditioner = LinearOperator((n, n), matvec=precondition, dtype=float)
+    operator = LinearOperator((2 * n, 2 * n), matvec=product, dtype=float)
+    preconditioner = LinearOperator((2 * n, 2 * n), matvec=precondition, dtype=float)
     norm = np.sum(np.abs(c)) + np.sum(np.abs(r[1:]))
-    units = np.zeros((2, n))
-    units[0, 0] = units[1, -1] = 1.0
-    solved, iterations = [], []
-    for unit in units:
-        residuals: list[float] = []
-        g, info = gmres(
-            operator,
-            unit,
-            rtol=GMRES_TOLERANCE,
-            atol=GMRES_TOLERANCE * (norm * np.max(np.abs(precondition(unit))) + 1.0),
-            restart=GMRES_RESTART,
-            maxiter=GMRES_MAX_ITERATIONS // GMRES_RESTART,
-            M=preconditioner,
-            callback=residuals.append,
-            callback_type="pr_norm",
-        )
-        if info != 0:
-            raise SingularMatrix(f"GMRES did not converge in {GMRES_MAX_ITERATIONS} iterations")
-        solved.append(g)
-        iterations.append(len(residuals))
-    generators = np.stack(solved)
-    residual = product(generators) - units
-    error = np.max(np.abs(residual)) / (norm * np.max(np.abs(generators)) + 1.0)
+    units = np.zeros(2 * n)  # (e_1; e_n)
+    units[0] = units[-1] = 1.0
+    residuals: list[float] = []
+    solved, info = gmres(
+        operator,
+        units,
+        rtol=GMRES_TOLERANCE,
+        atol=GMRES_TOLERANCE * (norm * np.max(np.abs(precondition(units))) + 1.0),
+        restart=GMRES_RESTART,
+        maxiter=GMRES_MAX_ITERATIONS // GMRES_RESTART,
+        M=preconditioner,
+        callback=residuals.append,
+        callback_type="pr_norm",
+    )
+    if info != 0:
+        raise SingularMatrix(f"GMRES did not converge in {GMRES_MAX_ITERATIONS} iterations")
+    error = np.max(np.abs(product(solved) - units)) / (norm * np.max(np.abs(solved)) + 1.0)
     if not error <= GENERATOR_BACKWARD_ERROR:
         raise SingularMatrix(
             f"Toeplitz generators have backward error {error:.1e} above "
             f"{GENERATOR_BACKWARD_ERROR:.0e}; the matrix is near singular"
         )
-    return solved[0], solved[1], (iterations[0], iterations[1])
+    x, y = solved.reshape(2, n)
+    return x, y, len(residuals)
 
 
 def _gohberg_semencul(c: np.ndarray, r: np.ndarray) -> ToeplitzFactorization:

@@ -14,6 +14,7 @@ from rieszfd import (
     validate_params,
     weight,
 )
+from rieszfd import cli
 from rieszfd.cli import main, read_profile_csv, write_snapshot_csv
 from rieszfd.config import (
     build_manifest,
@@ -133,6 +134,11 @@ class TestParseConfig:
     def test_snapshots_outside_horizon(self):
         with pytest.raises(ConfigInvalid):
             parse_config(fig2_document(snapshots=[2.0]))
+
+    @pytest.mark.parametrize("entry", [[0.5], None, "0.5", True])
+    def test_snapshot_times_must_be_numbers(self, entry):
+        with pytest.raises(ConfigInvalid, match=r"snapshots\[1\]"):
+            parse_config(fig2_document(snapshots=[0.25, entry]))
 
     def test_bad_types(self):
         with pytest.raises(ConfigInvalid):
@@ -356,6 +362,30 @@ class TestCli:
         assert main(["simulate", "--config", str(config_path), "--out", str(target)]) == 2
         assert key in capsys.readouterr().err
         assert not (target / "manifest.json").exists()
+
+    @pytest.mark.parametrize("entry", [[0.005], None, "0.005", True])
+    def test_simulate_snapshot_time_not_a_number_exits_2(self, tmp_path, capsys, entry):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(tiny_document(snapshots=[entry])))
+        target = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--out", str(target)]) == 2
+        assert "snapshots[0]" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_successive_calls_share_no_state(self, tmp_path, monkeypatch):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(tiny_document()))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["simulate", "--config", str(config_path), "--out", str(first),
+                     "--plot-script"]) == 0
+        assert main(["simulate", "--config", str(config_path), "--out", str(second)]) == 0
+        assert (first / "plot_snapshots.gp").exists()
+        assert (second / "manifest.json").exists() and not (second / "plot_snapshots.gp").exists()
+        requested = []
+        monkeypatch.setattr(cli, "run_suites", lambda names: requested.append(names) or [])
+        for _ in range(2):
+            assert main(["verify", "--suite", "table1"]) == 0
+        assert requested == [["table1"], ["table1"]]
 
     @pytest.mark.parametrize("row, key", [("0.5,a", "ic.csv:3"), ("0.5,nan", "initial")])
     def test_simulate_invalid_csv_initial_exits_2(self, tmp_path, capsys, row, key):

@@ -238,6 +238,13 @@ class TestTailSums:
                 total += ts.left(m) + ts.right(m)
                 assert abs(total) <= 1e-10
 
+    @pytest.mark.parametrize("alpha, theta", [(2.0, 0.0), (1.5, 0.3), (0.5, -0.2)])
+    def test_interior_arrays_equal_the_one_sided_sums_bit_for_bit(self, alpha, theta):
+        ts = TailSums(validate_params(alpha, theta))
+        js = np.arange(1, 300)
+        left, right = ts.interior_arrays(300)
+        assert np.array_equal(left, ts.left(js)) and np.array_equal(right, ts.right(js))
+
     def test_j_zero_is_an_error(self):
         ts = TailSums(validate_params(0.5, 0.0))
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import fft
 
 from rieszfd import (
     BoundarySpec,
@@ -36,7 +37,7 @@ from rieszfd import (
     weight_table,
 )
 from rieszfd.kernel import DEFAULT_ALPHA_ONE_GUARD
-from rieszfd.linalg import _strang_eigenvalues
+from rieszfd.linalg import _STRANG_MARGIN, _strang_eigenvalues
 from rieszfd.schemes import step_plan
 
 # orders anywhere in (0, 2], plus a band on both sides of the guard around 1
@@ -224,8 +225,9 @@ def test_implicit_step_matches_the_dense_solve(case):
 @example(((0.9921875, -0.9921875), 0.0, 4, 10.0**2.75, (1.0, 1.0)))
 @example((NEAR_ZERO[0], 0.0, 300, 1e3, (1.0, 1.0)))
 def test_strang_preconditioner_of_the_implicit_system_is_nonsingular(case):
-    # the Strang circulant of T = I + (sigma - 1) r W has the eigenvalues
-    # 1 + (sigma - 1) r sum_{|k| <= n/2} w_k e^(i k phi), n = N - 1.  The
+    # the Strang circulant of T = I + (sigma - 1) r W at the length p >= N - 1
+    # the preconditioner uses has the eigenvalues 1 + (sigma - 1) r
+    # sum_k w_k e^(i k phi), k over p consecutive offsets around 0.  The
     # off-centre weights are nonnegative and the truncated sum is at most
     # zero, so every real part is at least 1, up to the rounding of r w
     (alpha, theta), sigma, n, r, _ = case
@@ -235,7 +237,8 @@ def test_strang_preconditioner_of_the_implicit_system_is_nonsingular(case):
     first_row = (sigma - 1.0) * r * w[n - 1 + ks]
     first_col[0] += 1.0
     first_row[0] += 1.0
-    eigenvalues = _strang_eigenvalues(first_col, first_row)
+    size = fft.next_fast_len(n - 1 + (n - 1) // _STRANG_MARGIN, real=True)
+    eigenvalues = _strang_eigenvalues(first_col, first_row, size)
     assert np.min(eigenvalues.real) >= 1.0 - 1e-12 * r * np.max(np.abs(w))
 
 
