@@ -6,7 +6,9 @@ boundaries, where D_theta^alpha is the Riesz-Feller operator of order
 The discretization uses closed-form stencil weights that remain finite
 across the whole order range, boundary tail sums that carry the Dirichlet
 values into every interior node, and a sigma-weighted explicit/implicit
-time stepper.
+time stepper.  The dense reference system, the independent oracles and
+the other cross-check helpers are imported from their modules
+(``rieszfd.schemes``, ``rieszfd.linalg``, ``rieszfd.oracles``, ...).
 
 Typical use::
 
@@ -50,42 +52,24 @@ from .grid import (
     FieldState,
     Grid1D,
     InitialCondition,
-    boundary_at_half_step,
     build_grid,
     mass,
-    sample_initial,
 )
 from .kernel import (
     FractionalParams,
     TailSums,
     WeightTable,
-    rf_coefficients,
     validate_params,
     weight,
     weight_table,
 )
-from .linalg import LUFactorization, lu_factor, lu_solve
-from .oracles import (
-    AnalyticKernel,
-    convergence_study,
-    kernel_eval,
-    stability_bound_split,
-    tail_oracle,
-    weight_oracle,
-)
-from .schemes import (
-    SchemeConfig,
-    assemble_system,
-    implicit_step,
-    max_stable_dt,
-    rf_apply_bounded,
-)
+from .oracles import AnalyticKernel, convergence_study
+from .schemes import SchemeConfig, implicit_step, max_stable_dt
 from .simulate import (
     DtPolicy,
     SimulationConfig,
     SnapshotSeries,
     config_hash,
-    resolve_dt,
     run,
     snapshot_error,
 )
@@ -105,7 +89,6 @@ __all__ = [
     "FractionalParams",
     "Grid1D",
     "InitialCondition",
-    "LUFactorization",
     "NoSuchSnapshot",
     "NonpositiveTime",
     "OutOfRangeAlpha",
@@ -121,27 +104,15 @@ __all__ = [
     "ValidationError",
     "WeightTable",
     "WindowTooSmall",
-    "assemble_system",
-    "boundary_at_half_step",
     "build_grid",
     "config_hash",
     "convergence_study",
     "implicit_step",
-    "kernel_eval",
-    "lu_factor",
-    "lu_solve",
     "mass",
     "max_stable_dt",
-    "resolve_dt",
-    "rf_apply_bounded",
-    "rf_coefficients",
     "run",
-    "sample_initial",
     "snapshot_error",
-    "stability_bound_split",
-    "tail_oracle",
     "validate_params",
     "weight",
-    "weight_oracle",
     "weight_table",
 ]

@@ -33,32 +33,10 @@ def _fmt(value: float) -> str:
 
 def write_snapshot_csv(state: FieldState, path) -> None:
     """Write one profile as ``x,C`` rows, one per node, full precision: one
-    %-format giving the bytes of ``_fmt`` row by row, read back bit for bit."""
+    %-format giving the bytes of ``_fmt`` row by row, read back bit for bit
+    by ``config.read_profile_csv``."""
     pairs = np.column_stack((state.grid.nodes(), state.values)).ravel().tolist()
     Path(path).write_text("x,C\n" + "%.17g,%.17g\n" * (len(pairs) // 2) % tuple(pairs))
-
-
-def read_profile_csv(path) -> tuple[list[float], list[float]]:
-    """Read a profile written by write_snapshot_csv (or hand-made alike)."""
-    xs: list[float] = []
-    values: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip().lower() not in ("x,c", "x, c"):
-            raise ValidationError(f"{path}: expected header 'x,C', got {header.strip()!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValidationError(f"{path}:{line_no}: expected 'x,C' row, got {line!r}")
-            try:
-                xs.append(float(parts[0]))
-                values.append(float(parts[1]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{line_no}: {exc}") from exc
-    return xs, values
 
 
 def _snapshot_filenames(times: list[float]) -> list[str]:
@@ -120,8 +98,6 @@ def _cmd_weights(args) -> int:
 
 def _cmd_stability(args) -> int:
     params = validate_params(args.alpha, args.theta)
-    if args.k_alpha <= 0 or args.h <= 0:
-        raise ValidationError("--k-alpha and --h must be positive")
     print(_fmt(max_stable_dt(params, args.k_alpha, args.h)))
     return 0
 

@@ -1,5 +1,7 @@
 """Config documents (JSON) to simulation configs, and run manifests back.
 
+A ``csv`` initial condition is read here, from an ``x,C`` profile file.
+
 The document is a flat JSON object; unknown keys anywhere are hard errors.
 Tagged unions use a ``kind`` discriminator.  A run manifest embeds the
 fully resolved document (tabulated data inlined, defaults made explicit),
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import json
 import time as _time
-from dataclasses import dataclass
 from pathlib import Path
 
 from ._version import __version__
@@ -102,6 +103,29 @@ def _pairs(points, path: str, first: str) -> list[tuple[float, float]]:
     ]
 
 
+def read_profile_csv(path) -> tuple[list[float], list[float]]:
+    """Read a profile written by ``cli.write_snapshot_csv`` (or hand-made alike)."""
+    xs: list[float] = []
+    values: list[float] = []
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        if header.strip().lower() not in ("x,c", "x, c"):
+            raise ValidationError(f"{path}: expected header 'x,C', got {header.strip()!r}")
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ValidationError(f"{path}:{line_no}: expected 'x,C' row, got {line!r}")
+            try:
+                xs.append(float(parts[0]))
+                values.append(float(parts[1]))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{line_no}: {exc}") from exc
+    return xs, values
+
+
 def _parse_initial(node, base_dir: Path | None) -> InitialCondition:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigInvalid("initial: expected an object with a 'kind' field")
@@ -123,8 +147,6 @@ def _parse_initial(node, base_dir: Path | None) -> InitialCondition:
         path = Path(node["path"])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        from .cli import read_profile_csv  # deferred: cli owns the file format
-
         xs, values = read_profile_csv(path)
     elif kind == "tabulated":
         _check_keys(node, {"kind", "points"}, "initial")
@@ -279,49 +301,24 @@ def config_to_document(config: SimulationConfig, output_dir: str = DEFAULT_OUTPU
     return doc
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce and audit one run."""
-
-    config_document: dict
-    config_hash: str
-    dt: float
-    n_steps: int
-    weight_window: tuple[int, int]
-    tool_version: str
-    duration_seconds: float
-    created_unix: float
-
-    def to_document(self) -> dict:
-        return {
-            "tool": {"name": "rieszfd", "version": self.tool_version},
-            "config": self.config_document,
-            "config_hash": self.config_hash,
-            "resolved": {
-                "dt": self.dt,
-                "n_steps": self.n_steps,
-                "weight_window": list(self.weight_window),
-            },
-            "duration_seconds": self.duration_seconds,
-            "created_unix": self.created_unix,
-        }
-
-
 def build_manifest(
     series: SnapshotSeries, duration_seconds: float, output_dir: str = DEFAULT_OUTPUT_DIR
-) -> RunManifest:
+) -> dict:
+    """Everything needed to reproduce and audit one run, as a JSON document."""
     n = series.config.grid.n_cells
-    return RunManifest(
-        config_document=config_to_document(series.config, output_dir),
-        config_hash=series.config_hash,
-        dt=series.dt,
-        n_steps=series.n_steps,
-        weight_window=(-(n - 1), n - 1),
-        tool_version=__version__,
-        duration_seconds=duration_seconds,
-        created_unix=_time.time(),
-    )
+    return {
+        "tool": {"name": "rieszfd", "version": __version__},
+        "config": config_to_document(series.config, output_dir),
+        "config_hash": series.config_hash,
+        "resolved": {
+            "dt": series.dt,
+            "n_steps": series.n_steps,
+            "weight_window": [-(n - 1), n - 1],
+        },
+        "duration_seconds": duration_seconds,
+        "created_unix": _time.time(),
+    }
 
 
-def write_manifest(manifest: RunManifest, path) -> None:
-    Path(path).write_text(json.dumps(manifest.to_document(), indent=2) + "\n")
+def write_manifest(manifest: dict, path) -> None:
+    Path(path).write_text(json.dumps(manifest, indent=2) + "\n")

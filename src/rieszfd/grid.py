@@ -23,15 +23,8 @@ class Grid1D:
     def h(self) -> float:
         return (self.right - self.left) / self.n_cells
 
-    def node(self, i: int) -> float:
-        # endpoints are pinned so x_0 == left and x_N == right bit-exactly
-        if i == 0:
-            return self.left
-        if i == self.n_cells:
-            return self.right
-        return self.left + i * self.h
-
     def nodes(self) -> np.ndarray:
+        # endpoints are pinned so x_0 == left and x_N == right bit-exactly
         xs = self.left + np.arange(self.n_cells + 1) * self.h
         xs[0] = self.left
         xs[-1] = self.right

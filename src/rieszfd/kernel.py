@@ -7,8 +7,8 @@ alpha != 1) and skewness ``theta`` is discretized on a uniform grid as
 
 with dimensionless stencil weights ``w_k`` that decay like ``|k|**(-1-alpha)``.
 This module provides the parameter validation, the left/right trigonometric
-splitting coefficients c_L and c_R, the weights themselves and their
-matrix-free application to a grid state, and closed-form sums of all
+splitting coefficients c_L and c_R, the weights themselves, the stencil
+the step correlates a grid state with, and closed-form sums of all
 weights beyond a cutoff index (used to fold Dirichlet boundary
 values into interior nodes on a bounded domain).
 
@@ -195,11 +195,11 @@ def weight(k: int, params: FractionalParams) -> float:
 class WeightTable:
     """Stencil weights over the index window [k_min, k_max].
 
-    ``weights[j]`` holds w_{k_min + j}.  ``apply`` is the stencil sum at the
-    interior nodes of an N-cell grid, computed matrix-free in O(N) memory
-    and O(N * K) work, K being the reach of the stencil (1 at alpha = 2).
-    ``application_matrix`` builds the same operator as a fresh dense matrix
-    on each call, for the dense reference system of the tests.
+    ``weights[j]`` holds w_{k_min + j}.  ``_node_stencil`` is the stencil
+    of reach K (1 at alpha = 2) that the step correlates a state with, in
+    O(N) memory and O(N * K) work.  ``application_matrix`` builds the
+    operator as a fresh dense matrix on each call, straight from the
+    weights: the dense reference of the tests and ``verify``.
     """
 
     params: FractionalParams
@@ -237,18 +237,6 @@ class WeightTable:
         r = min(reach, n - 1)
         stencil = self._stencil[reach - r : reach + r + 1]
         return (stencil, "same") if 2 * r + 1 <= n + 1 else (np.pad(stencil, n - r), "valid")
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """W @ values for the matrix W of ``application_matrix``, without forming W.
-
-        One direct correlation with the stencil trimmed to r = min(K, N-1),
-        one output per node (``_node_stencil``): each interior row takes its
-        2r+1 products, the full dense row at r = N-1 and three at alpha = 2,
-        less those that fall outside the grid, where W has no column.
-        """
-        n = len(values) - 1
-        self._require_window(n)
-        return np.correlate(values, *self._node_stencil(n))[1:-1]
 
     def application_matrix(self, n_cells: int) -> np.ndarray:
         """(N-1, N+1) matrix W with W[i-1, j] = w_{j-i} for interior rows i.

@@ -16,8 +16,9 @@ factors it once per run and returns an immutable factorization whose
   A solve is then four FFT calls, also O(N log N).
 
 The dense LU (``lu_factor``/``lu_solve``, partial row pivoting, LAPACK
-``getrf``/``getrs``) is the reference the tests and ``verify`` compare the
-Toeplitz solve with; the solver itself does not call it.
+``getrf``/``getrs``) solves the dense reference system of
+``schemes.assemble_system`` in the tests and ``verify``; the solver itself
+does not call it, and the package does not export it at the top level.
 """
 
 from __future__ import annotations
@@ -38,9 +39,13 @@ PIVOT_FLOOR = 1e-300
 # at most 9.6e-17 at N = 1000, 2.3e-16 at N = 4096 and 2.7e-16 at
 # N = 16384, Levinson's recursion 2.7e-15, 4.8e-15 and 5.6e-15
 GENERATOR_BACKWARD_ERROR = 1e-10
-# GMRES stops at a 2-norm residual of GMRES_TOLERANCE (||T|| ||C^-1 e|| + 1),
-# C the Strang circulant: the floor that rounding leaves scales with ||T||
-# (6e-14 for a lower triangular T with ||T|| = 1130).  It restarts every
+# GMRES stops once the true residual of the stacked pair, in the 2-norm,
+# is at most max(rtol sqrt(2), atol), as scipy checks it: rtol is
+# GMRES_TOLERANCE scaled by ||(e_1; e_n)||_2 = sqrt(2), and atol is
+# GMRES_TOLERANCE (||T||_inf max|C^-1 (e_1; e_n)| + 1), C the Strang
+# circulant, with both of its norms infinity norms.  atol follows the
+# floor that rounding leaves, which scales with ||T|| (6e-14 for a lower
+# triangular T with ||T||_inf = 1130).  It restarts every
 # GMRES_RESTART iterations and gives up after GMRES_MAX_ITERATIONS in all;
 # the pair took 3 to 6 at alpha 0.7 to 1.9 on [-10, 10] up to N = 2**17
 GMRES_TOLERANCE = 1e-14

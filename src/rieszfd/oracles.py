@@ -39,25 +39,21 @@ class AnalyticKernel:
     kind: str
     k_alpha: float = 1.0
 
-    def __call__(self, x, t):
-        return kernel_eval(self, x, t)
-
-
-def kernel_eval(kernel: AnalyticKernel, x, t: float):
-    """Evaluate the kernel at positions x (scalar or array) and time t > 0."""
-    if not t > 0.0:
-        raise NonpositiveTime(f"kernel defined for t > 0, got t={t}")
-    x = np.asarray(x, dtype=float)
-    kt = kernel.k_alpha * t
-    if kernel.kind == GAUSS:
-        out = np.exp(-(x**2) / (4.0 * kt)) / math.sqrt(4.0 * math.pi * kt)
-    elif kernel.kind == CAUCHY:
-        out = kt / (math.pi * (kt**2 + x**2))
-    else:
-        raise ValueError(f"unknown kernel kind {kernel.kind!r}")
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    def __call__(self, x, t: float):
+        """Evaluate the kernel at positions x (scalar or array) and time t > 0."""
+        if not t > 0.0:
+            raise NonpositiveTime(f"kernel defined for t > 0, got t={t}")
+        x = np.asarray(x, dtype=float)
+        kt = self.k_alpha * t
+        if self.kind == GAUSS:
+            out = np.exp(-(x**2) / (4.0 * kt)) / math.sqrt(4.0 * math.pi * kt)
+        elif self.kind == CAUCHY:
+            out = kt / (math.pi * (kt**2 + x**2))
+        else:
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if np.ndim(out) == 0:
+            return float(out)
+        return out
 
 
 def weight_oracle(k: int, params: FractionalParams) -> float:
@@ -243,10 +239,16 @@ def convergence_study(
 
     Each refinement halves h (doubles the cell count) and re-resolves dt
     from the config's policy; errors are measured at t_end against the
-    applicable analytic kernel.  Rates are reported, not asserted.
+    applicable analytic kernel.  Rates are reported, not asserted.  Raises
+    ConfigInvalid, before any run, for a negative refinement count or a
+    window that is not finite with lo < hi.
     """
     if refinements < 0:
-        raise ValueError("refinements must be >= 0")
+        raise ConfigInvalid(f"refinements must be >= 0, got {refinements}")
+    if x_window is not None:
+        lo, hi = x_window
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigInvalid(f"x_window must be finite with lo < hi, got {x_window}")
     scheme = base_config.scheme
     kernel = reference_kernel_for(scheme.params, scheme.k_alpha)
     rows = []

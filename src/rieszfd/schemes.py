@@ -11,8 +11,10 @@ Every coefficient of a step is fixed for a run, so ``step_plan`` builds
 them once, in O(N) memory, and below sigma = 1 factors the interior
 Toeplitz system; a step is then one correlation that writes the new
 state node by node, an axpy per nonzero boundary value and an O(N log N)
-solve.  ``rf_apply_bounded`` and the dense ``assemble_system`` are the
-reference the tests and ``verify`` compare with.
+solve.  ``rf_apply_bounded`` and ``assemble_system`` are the dense
+reference the tests and ``verify`` compare with: they build the operator
+from ``WeightTable.application_matrix`` and share no stencil code with
+the step.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigInvalid
 from .grid import BoundarySpec, FieldState, boundary_at_half_step
 from .kernel import FractionalParams, TailSums, WeightTable, weight
 from .linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
@@ -65,10 +68,11 @@ def max_stable_dt(params: FractionalParams, k_alpha: float, h: float) -> float:
     """Largest explicit time step keeping the k = 0 update coefficient positive.
 
     Equals -h**alpha / (k_alpha * w_0); w_0 < 0 for all valid parameters,
-    so the bound is strictly positive.
+    so the bound is strictly positive.  Raises ConfigInvalid unless k_alpha
+    and h are positive and finite.
     """
-    if k_alpha <= 0.0 or h <= 0.0:
-        raise ValueError("k_alpha and h must be positive")
+    if not (k_alpha > 0.0 and math.isfinite(k_alpha) and h > 0.0 and math.isfinite(h)):
+        raise ConfigInvalid(f"k_alpha and h must be positive and finite, got {k_alpha} and {h}")
     return -(h**params.alpha) / (k_alpha * weight(0, params))
 
 
@@ -87,20 +91,16 @@ def rf_apply_bounded(
 
     The window sum covers every node of the bounded grid; the tail sums
     carry the boundary values held on the virtual nodes outside it.  It is
-    computed matrix-free by ``WeightTable.apply``, in O(N) memory and
-    O(N * K) work for a stencil of reach K (three products per node at
-    alpha = 2).  At sigma = 0 the window sum is skipped, not multiplied by
-    zero.  The step does not call it: it is the reference that the fused
-    coefficients of ``StepPlan`` are tested against.
+    the product with the dense ``WeightTable.application_matrix``, which
+    raises WindowTooSmall for an undersized table.  The step does not call
+    it: it is the reference that ``StepPlan`` is tested against, and
+    shares none of its stencil code.
     """
     n = state.grid.n_cells
     s_left, s_right = tails.interior_arrays(n)
-    acc = g_left * s_left
-    if sigma != 0.0:
-        # raises WindowTooSmall if the table is undersized
-        acc += sigma * table.apply(state.values)
-    acc += g_right * s_right[::-1]  # s_R(N-i) for i = 1..N-1
-    return acc / state.grid.h ** table.params.alpha
+    window = sigma * (table.application_matrix(n) @ state.values)
+    boundary = g_left * s_left + g_right * s_right[::-1]  # s_R(N-i) for i = 1..N-1
+    return (window + boundary) / state.grid.h ** table.params.alpha
 
 
 def _implicit_ratio(cfg: SchemeConfig, h: float) -> float:
@@ -186,45 +186,31 @@ def step_plan(
     return StepPlan(dt, cfg.bc_left, cfg.bc_right, stencil, mode, left, right, factorization)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Dense system A C = b of one implicit step: the test reference."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-
-def _assemble_matrix(cfg: SchemeConfig, table: WeightTable, n_cells: int, h: float) -> np.ndarray:
-    """A[i, j] = delta_ij + a_{j-i} on interior rows, unit boundary rows."""
-    n = n_cells
-    ratio = _implicit_ratio(cfg, h)
-    a = np.zeros((n + 1, n + 1))
-    a[1:-1, :] = ratio * table.application_matrix(n)
-    np.fill_diagonal(a, a.diagonal() + 1.0)
-    a[0, 0] = 1.0
-    a[-1, -1] = 1.0
-    return a
-
-
 def assemble_system(
     state: FieldState,
     cfg: SchemeConfig,
     table: WeightTable,
     tails: TailSums,
-) -> LinearSystem:
-    """Dense A and b = C^f + dt K rf_apply_bounded(C^f) of one step, with
-    the boundary values on the end rows: the reference of ``StepPlan``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dense reference of ``StepPlan``: (A, b) of one step, A C^{f+1} = b.
+
+    A[i, j] = delta_ij + (sigma - 1) r w_{j-i} on interior rows, with unit
+    boundary rows; b = C^f + dt K rf_apply_bounded(C^f) on interior rows,
+    with the boundary values on the end rows.
+    """
     dt = cfg._require_dt()
     f = state.step_index
     gl = boundary_at_half_step(cfg.bc_left, dt, f)
     gr = boundary_at_half_step(cfg.bc_right, dt, f)
-    matrix = _assemble_matrix(cfg, table, state.grid.n_cells, state.grid.h)
+    n = state.grid.n_cells
+    matrix = np.eye(n + 1)
+    matrix[1:-1] += _implicit_ratio(cfg, state.grid.h) * table.application_matrix(n)
     op = rf_apply_bounded(state, gl, gr, table, tails, cfg.sigma)
     rhs = np.empty_like(state.values)
     rhs[1:-1] = state.values[1:-1] + dt * cfg.k_alpha * op
     rhs[0] = gl
     rhs[-1] = gr
-    return LinearSystem(matrix=matrix, rhs=rhs)
+    return matrix, rhs
 
 
 def implicit_step(

@@ -20,7 +20,6 @@ from .oracles import (
     AnalyticKernel,
     CAUCHY,
     GAUSS,
-    kernel_eval,
     stability_bound_split,
     tail_oracle,
     weight_oracle,
@@ -185,8 +184,8 @@ def _check_implicit_solve() -> CheckResult:
         table = weight_table(params, -(n - 1), n - 1)
         tails = TailSums(params)
         state = FieldState(grid=grid, values=np.cos(np.arange(n + 1.0)))
-        dense = assemble_system(state, cfg, table, tails)
-        expected = lu_solve(lu_factor(dense.matrix), dense.rhs)
+        matrix, rhs = assemble_system(state, cfg, table, tails)
+        expected = lu_solve(lu_factor(matrix), rhs)
         plan = step_plan(cfg, table, tails, n, grid.h)
         got = implicit_step(state, cfg, table, tails, plan).values
         diff = np.max(np.abs(got[1:-1] - expected[1:-1])) / np.max(np.abs(expected))
@@ -224,7 +223,7 @@ def check_kernels() -> list[CheckResult]:
     for kind, tol in ((GAUSS, 1e-4), (CAUCHY, 2e-2)):
         kernel = AnalyticKernel(kind, 1.0)
         xs = np.arange(-40.0, 40.0 + 0.005, 0.01)
-        vals = kernel_eval(kernel, xs, 1.0)
+        vals = kernel(xs, 1.0)
         integral = float(np.trapezoid(vals, xs))
         results.append(
             CheckResult(

@@ -23,16 +23,13 @@ from rieszfd import (
     mass,
     max_stable_dt,
     run,
-    sample_initial,
     snapshot_error,
-    stability_bound_split,
-    tail_oracle,
     validate_params,
     weight,
-    weight_oracle,
     weight_table,
 )
-from rieszfd.oracles import p_coefficient
+from rieszfd.grid import sample_initial
+from rieszfd.oracles import p_coefficient, stability_bound_split, tail_oracle, weight_oracle
 from conftest import sample_params
 
 # frozen 6-decimal reference weights, theta = 0

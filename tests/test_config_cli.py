@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,19 +14,20 @@ from rieszfd import (
     SkewnessTooLarge,
     UnknownKey,
     build_grid,
-    sample_initial,
     validate_params,
     weight,
 )
+import rieszfd
 from rieszfd import cli
-from rieszfd.cli import main, read_profile_csv, write_snapshot_csv
+from rieszfd.cli import main, write_snapshot_csv
 from rieszfd.config import (
     build_manifest,
     config_to_document,
     output_directory,
     parse_config,
+    read_profile_csv,
 )
-from rieszfd.grid import FieldState, InitialCondition
+from rieszfd.grid import FieldState, InitialCondition, sample_initial
 from rieszfd.simulate import run
 
 
@@ -180,8 +185,7 @@ class TestDocumentRoundTrip:
     def test_manifest_embeds_resolved_config(self):
         cfg = parse_config(tiny_document())
         series = run(cfg)
-        manifest = build_manifest(series, duration_seconds=0.5, output_dir="out")
-        doc = manifest.to_document()
+        doc = build_manifest(series, duration_seconds=0.5, output_dir="out")
         assert parse_config(doc["config"]) == cfg
         assert doc["resolved"]["dt"] == series.dt
         assert doc["resolved"]["n_steps"] == series.n_steps
@@ -292,6 +296,13 @@ class TestCli:
         # h**2 / (2K); output keeps full precision so compare as a number
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(0.005, abs=1e-17)
+
+    @pytest.mark.parametrize("option, value", [("--k-alpha", "nan"), ("--h", "inf"),
+                                               ("--k-alpha", "inf")])
+    def test_stability_non_finite_exits_2(self, capsys, option, value):
+        argv = {"--alpha": "2", "--theta": "0", "--k-alpha": "1", "--h": "0.1", option: value}
+        assert main(["stability", *(item for pair in argv.items() for item in pair)]) == 2
+        assert "positive and finite" in capsys.readouterr().err
 
     def test_validation_errors_exit_2(self, capsys):
         assert main(["weights", "--alpha", "3.0", "--theta", "0", "--kmax", "2"]) == 2
@@ -410,3 +421,31 @@ class TestCli:
         first = [float(v) for v in lines[1].split(",")]
         second = [float(v) for v in lines[2].split(",")]
         assert second[0] == pytest.approx(first[0] / 2.0)
+
+    @pytest.mark.parametrize("extra, key", [
+        (["--levels", "-1"], "refinements"),
+        (["--levels", "1", "--window", "5", "-5"], "x_window"),
+        (["--levels", "1", "--window", "nan", "3"], "x_window"),
+    ])
+    def test_converge_invalid_request_exits_2(self, tmp_path, capsys, extra, key):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(tiny_document(alpha=2.0, n_cells=50, t_end=0.05)))
+        assert main(["converge", "--config", str(config_path), *extra]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_config_does_not_load_the_cli(tmp_path):
+    # the cli imports config, never the other way round, not even when a
+    # csv initial condition is read: no module cycle
+    (tmp_path / "ic.csv").write_text("x,C\n-1,0\n0,1\n1,0\n")
+    doc = json.dumps(tiny_document(initial={"kind": "csv", "path": "ic.csv"}))
+    code = (
+        "import pathlib, sys, rieszfd.config\n"
+        f"rieszfd.config.parse_config({doc!r}, base_dir=pathlib.Path({str(tmp_path)!r}))\n"
+        "print(sorted(name for name in sys.modules if name.startswith('rieszfd.')))\n"
+    )
+    src = str(Path(rieszfd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert "rieszfd.config" in done.stdout and "rieszfd.cli" not in done.stdout

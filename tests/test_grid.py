@@ -8,11 +8,10 @@ from rieszfd import (
     DeltaNeedsEvenN,
     FieldState,
     InitialCondition,
-    boundary_at_half_step,
     build_grid,
     mass,
-    sample_initial,
 )
+from rieszfd.grid import boundary_at_half_step, sample_initial
 
 
 class TestGrid:
@@ -39,7 +38,6 @@ class TestGrid:
         g = build_grid(-10.0, 10.0, 1000)
         xs = g.nodes()
         assert xs[0] == -10.0 and xs[-1] == 10.0
-        assert g.node(0) == -10.0 and g.node(1000) == 10.0
         assert np.all(np.diff(xs) > 0)
 
     def test_state_length_checked(self):

@@ -8,14 +8,18 @@ from rieszfd import (
     OutOfRangeAlpha,
     SkewnessTooLarge,
     WindowTooSmall,
+    FieldState,
+    SchemeConfig,
     TailSums,
     WeightTable,
-    rf_coefficients,
+    build_grid,
     validate_params,
     weight,
-    weight_oracle,
     weight_table,
 )
+from rieszfd.kernel import rf_coefficients
+from rieszfd.oracles import weight_oracle
+from rieszfd.schemes import assemble_system, rf_apply_bounded, step_plan
 from conftest import sample_params
 
 # frozen 6-decimal reference weights for theta = 0
@@ -168,6 +172,9 @@ class TestWeights:
 
 
 class TestApply:
+    # the explicit step (sigma = 1, r = 1) correlates with the table's
+    # stencil; the dense reference multiplies by application_matrix, which
+    # shares no code with it
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
     @pytest.mark.parametrize("side", ["both", "left", "right"])
     def test_every_reach_matches_the_dense_product(self, n, side):
@@ -175,31 +182,44 @@ class TestApply:
         u = rng.standard_normal(n + 1)
         m = n + 2  # the window reaches past the N-1 the grid needs
         ks = np.arange(-m, m + 1)
+        params = validate_params(1.5, 0.0)
+        grid = build_grid(0.0, 1.0, n)
+        cfg = SchemeConfig(params=params, k_alpha=1.0, dt=grid.h**1.5)
+        tails = TailSums(params)
         for reach in range(1, m + 1):
             w = np.where(np.abs(ks) <= reach, rng.uniform(0.5, 1.5, ks.size), 0.0)
             if side == "left":
                 w[ks > 0] = 0.0
             elif side == "right":
                 w[ks < 0] = 0.0
-            table = WeightTable(validate_params(1.5, 0.0), -m, m, w)
+            table = WeightTable(params, -m, m, w)
+            got = step_plan(cfg, table, tails, n, grid.h).advance(u, 0)
+            expected = np.linalg.solve(*assemble_system(FieldState(grid, u), cfg, table, tails))
             dense = table.application_matrix(n)
             tol = 1e-13 * np.max(np.abs(dense)) * np.max(np.abs(u)) * n
-            assert np.max(np.abs(table.apply(u) - dense @ u)) <= tol
+            assert np.max(np.abs(got - expected)) <= tol
             # the stencil is trimmed to the nonzero reach once per table
             assert table._stencil.size == 2 * reach + 1
 
     def test_alpha_two_reaches_one_node(self):
-        table = weight_table(validate_params(2.0, 0.0), -99, 99)
+        params = validate_params(2.0, 0.0)
+        table = weight_table(params, -99, 99)
+        tails = TailSums(params)
         assert table._stencil.tolist() == [1.0, -2.0, 1.0]
+        grid = build_grid(0.0, 100.0, 100)  # h = 1, so r = dt = 1
+        cfg = SchemeConfig(params=params, k_alpha=1.0, dt=1.0)
         u = np.arange(101.0) ** 2
-        assert table.apply(u).tolist() == [2.0] * 99
+        got = step_plan(cfg, table, tails, 100, grid.h).advance(u, 0)
+        assert (got - u)[1:-1].tolist() == [2.0] * 99
+        assert rf_apply_bounded(FieldState(grid, u), 0.0, 0.0, table, tails).tolist() == [2.0] * 99
 
     def test_window_too_small(self):
         p = validate_params(0.5, 0.0)
+        cfg = SchemeConfig(params=p, k_alpha=1.0, dt=1e-3)
         for k_min, k_max in ((-3, 3), (-4, 3), (-3, 4)):
             table = weight_table(p, k_min, k_max)
             with pytest.raises(WindowTooSmall):
-                table.apply(np.zeros(6))  # n = 5 needs [-4, 4]
+                step_plan(cfg, table, TailSums(p), 5, 0.2)  # n = 5 needs [-4, 4]
             with pytest.raises(WindowTooSmall):
                 table.application_matrix(5)
 

@@ -6,8 +6,6 @@ from rieszfd import (
     DimensionMismatch,
     SingularMatrix,
     build_grid,
-    lu_factor,
-    lu_solve,
     validate_params,
     weight_table,
 )
@@ -15,6 +13,8 @@ from rieszfd.linalg import (
     ToeplitzFactorization,
     TridiagonalFactorization,
     _generators,
+    lu_factor,
+    lu_solve,
     toeplitz_factor,
 )
 

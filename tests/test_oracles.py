@@ -14,44 +14,39 @@ from rieszfd import (
     TailSums,
     build_grid,
     convergence_study,
-    kernel_eval,
-    tail_oracle,
     validate_params,
-    weight_oracle,
 )
-from rieszfd.oracles import reference_kernel_for
+from rieszfd.oracles import reference_kernel_for, tail_oracle, weight_oracle
 from conftest import sample_params
 
 
 class TestKernels:
     def test_cauchy_values(self):
         kernel = AnalyticKernel("cauchy_alpha1", 1.0)
-        assert kernel_eval(kernel, 0.0, 1.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
-        assert kernel_eval(kernel, 1.0, 1.0) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
+        assert kernel(0.0, 1.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
+        assert kernel(1.0, 1.0) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
 
     def test_gauss_peak(self):
         kernel = AnalyticKernel("gauss_alpha2", 1.0)
-        assert kernel_eval(kernel, 0.0, 1.0) == pytest.approx(
-            1.0 / math.sqrt(4.0 * math.pi), abs=1e-15
-        )
+        assert kernel(0.0, 1.0) == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), abs=1e-15)
 
     def test_time_must_be_positive(self):
         with pytest.raises(NonpositiveTime):
-            kernel_eval(AnalyticKernel("gauss_alpha2"), 0.0, 0.0)
+            AnalyticKernel("gauss_alpha2")(0.0, 0.0)
         with pytest.raises(NonpositiveTime):
-            kernel_eval(AnalyticKernel("cauchy_alpha1"), 0.0, -1.0)
+            AnalyticKernel("cauchy_alpha1")(0.0, -1.0)
 
     def test_normalization(self):
         xs = np.arange(-40.0, 40.0 + 0.005, 0.01)
-        gauss = kernel_eval(AnalyticKernel("gauss_alpha2", 1.0), xs, 1.0)
+        gauss = AnalyticKernel("gauss_alpha2", 1.0)(xs, 1.0)
         assert float(np.trapezoid(gauss, xs)) == pytest.approx(1.0, abs=1e-4)
-        cauchy = kernel_eval(AnalyticKernel("cauchy_alpha1", 1.0), xs, 1.0)
+        cauchy = AnalyticKernel("cauchy_alpha1", 1.0)(xs, 1.0)
         assert float(np.trapezoid(cauchy, xs)) == pytest.approx(1.0, abs=2e-2)
 
     def test_scaling_in_k_and_t(self):
         kernel = AnalyticKernel("gauss_alpha2", 2.5)
         xs = np.arange(-60.0, 60.0, 0.01)
-        vals = kernel_eval(kernel, xs, 0.7)
+        vals = kernel(xs, 0.7)
         assert float(np.trapezoid(vals, xs)) == pytest.approx(1.0, abs=1e-4)
 
 

@@ -24,21 +24,18 @@ from rieszfd import (
     SchemeConfig,
     SimulationConfig,
     TailSums,
-    assemble_system,
     build_grid,
     implicit_step,
-    lu_factor,
-    lu_solve,
     max_stable_dt,
     run,
-    sample_initial,
     validate_params,
     weight,
     weight_table,
 )
+from rieszfd.grid import sample_initial
 from rieszfd.kernel import DEFAULT_ALPHA_ONE_GUARD
-from rieszfd.linalg import _STRANG_MARGIN, _strang_eigenvalues
-from rieszfd.schemes import step_plan
+from rieszfd.linalg import _STRANG_MARGIN, _strang_eigenvalues, lu_factor, lu_solve
+from rieszfd.schemes import assemble_system, step_plan
 
 # orders anywhere in (0, 2], plus a band on both sides of the guard around 1
 _ALPHAS = st.one_of(
@@ -157,12 +154,14 @@ def test_tails_telescope_into_the_weights(case):
 @example(((0.5, 0.5), 3, 0))
 @example(((0.5, -0.5), 40, 3))
 def test_apply_equals_the_dense_product(case):
+    # the explicit step (sigma = 1, r = 1) applies the stencil of a table
+    # whose window may reach past the N-1 the grid needs
     (alpha, theta), n, extra = case
-    table = weight_table(validate_params(alpha, theta), -(n - 1) - extra, n - 1 + extra)
-    u = np.random.default_rng(n).standard_normal(n + 1)
-    dense = table.application_matrix(n)
-    tol = 1e-13 * np.max(np.abs(dense)) * np.max(np.abs(u)) * n
-    assert np.max(np.abs(table.apply(u) - dense @ u)) <= tol
+    grid = build_grid(0.0, 1.0, n)
+    _check_against_the_dense_solve(
+        validate_params(alpha, theta), 1.0, grid, grid.h**alpha,
+        BoundarySpec.constant(0.7), BoundarySpec.constant(-0.4), 0, extra,
+    )
 
 
 @PROPERTY_SETTINGS
@@ -271,23 +270,24 @@ def test_time_table_boundaries_match_the_dense_solve(case):
     )
 
 
-def _check_against_the_dense_solve(params, sigma, grid, dt, bc_left, bc_right, f):
+def _check_against_the_dense_solve(params, sigma, grid, dt, bc_left, bc_right, f, extra=0):
     # the step solves the interior Toeplitz system; the dense LU of the
     # whole (N+1) x (N+1) system is the reference.  Within 1e-12 relative
-    # where r <= 1, within 1e-12 cond(T) beyond
+    # where r <= 1, within 1e-12 cond(T) beyond.  The weight table reaches
+    # ``extra`` offsets past the N-1 the grid needs
     n = grid.n_cells
     cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt, sigma=sigma,
                        bc_left=bc_left, bc_right=bc_right)
-    table = weight_table(params, -(n - 1), n - 1)
+    table = weight_table(params, -(n - 1) - extra, n - 1 + extra)
     tails = TailSums(params)
     values = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
     state = FieldState(grid=grid, values=values, time=dt * f, step_index=f)
-    dense = assemble_system(state, cfg, table, tails)
-    expected = lu_solve(lu_factor(dense.matrix), dense.rhs)
+    matrix, rhs = assemble_system(state, cfg, table, tails)
+    expected = lu_solve(lu_factor(matrix), rhs)
     got = implicit_step(state, cfg, table, tails).values
     r = dt / grid.h**params.alpha
-    gate = 1e-12 * (1.0 if r <= 1.0 else np.linalg.cond(dense.matrix[1:-1, 1:-1]))
-    assert got[0] == dense.rhs[0] and got[-1] == dense.rhs[-1]
+    gate = 1e-12 * (1.0 if r <= 1.0 else np.linalg.cond(matrix[1:-1, 1:-1]))
+    assert got[0] == rhs[0] and got[-1] == rhs[-1]
     assert np.max(np.abs(got[1:-1] - expected[1:-1])) <= gate * np.max(np.abs(expected))
 
 

@@ -4,6 +4,7 @@ import pytest
 import rieszfd.simulate
 from rieszfd import (
     BoundarySpec,
+    ConfigInvalid,
     DtPolicy,
     FieldState,
     InitialCondition,
@@ -13,22 +14,18 @@ from rieszfd import (
     UnstableTimestep,
     WeightTable,
     WindowTooSmall,
-    assemble_system,
-    boundary_at_half_step,
     build_grid,
     implicit_step,
     mass,
     max_stable_dt,
-    rf_apply_bounded,
     run,
-    sample_initial,
-    stability_bound_split,
     validate_params,
     weight,
     weight_table,
 )
-from rieszfd.oracles import p_coefficient
-from rieszfd.schemes import step_plan
+from rieszfd.grid import boundary_at_half_step, sample_initial
+from rieszfd.oracles import p_coefficient, stability_bound_split
+from rieszfd.schemes import assemble_system, rf_apply_bounded, step_plan
 from conftest import sample_params
 
 
@@ -98,6 +95,12 @@ class TestStabilityBound:
     def test_positive(self):
         for params in sample_params(50, seed=23):
             assert max_stable_dt(params, 1.0, 0.1) > 0.0
+
+    @pytest.mark.parametrize("k_alpha, h", [(np.nan, 0.1), (np.inf, 0.1), (1.0, np.inf),
+                                            (1.0, np.nan), (0.0, 0.1), (1.0, -0.1)])
+    def test_requires_finite_positive_inputs(self, k_alpha, h):
+        with pytest.raises(ConfigInvalid, match="positive and finite"):
+            max_stable_dt(validate_params(1.5, 0.0), k_alpha, h)
 
 
 class TestApplyBounded:
@@ -235,8 +238,8 @@ class TestAssembleSystem:
         params = validate_params(0.8, 0.1)
         grid, cfg, table, tails = make_setup(params, n_cells=10, sigma=1.0)
         state = FieldState(grid=grid, values=np.arange(11.0))
-        system = assemble_system(state, cfg, table, tails)
-        assert np.array_equal(system.matrix, np.eye(11))
+        matrix, _ = assemble_system(state, cfg, table, tails)
+        assert np.array_equal(matrix, np.eye(11))
 
     def test_sigma_zero_heat_limit_tridiagonal(self):
         params = validate_params(2.0, 0.0)
@@ -245,7 +248,7 @@ class TestAssembleSystem:
         cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt, sigma=0.0)
         table = weight_table(params, -7, 7)
         state = FieldState(grid=grid, values=np.zeros(9))
-        a = assemble_system(state, cfg, table, TailSums(params)).matrix
+        a, _ = assemble_system(state, cfg, table, TailSums(params))
         lam = dt / grid.h**2
         for i in range(1, 8):
             assert a[i, i] == pytest.approx(1.0 + 2.0 * lam, rel=1e-15)
@@ -266,7 +269,7 @@ class TestAssembleSystem:
         tails = TailSums(params)
         vals = rng.uniform(-1, 1, n + 1)
         state = FieldState(grid=grid, values=vals)
-        system = assemble_system(state, cfg, table, tails)
+        matrix, rhs = assemble_system(state, cfg, table, tails)
 
         r = cfg.k_alpha * dt / grid.h**params.alpha
         expected = np.zeros((n + 1, n + 1))
@@ -276,18 +279,18 @@ class TestAssembleSystem:
             for col in range(n + 1):
                 a_entry = (cfg.sigma - 1.0) * r * weight(col - row, params)
                 expected[row, col] = (1.0 if row == col else 0.0) + a_entry
-        assert np.max(np.abs(system.matrix - expected)) <= 1e-14
+        assert np.max(np.abs(matrix - expected)) <= 1e-14
 
-        rhs = np.zeros(n + 1)
-        rhs[0], rhs[n] = gl, gr
+        by_index = np.zeros(n + 1)
+        by_index[0], by_index[n] = gl, gr
         for j in range(1, n):
             window = sum(vals[j + k] * weight(k, params) for k in range(-j, n - j + 1))
-            rhs[j] = vals[j] + r * (
+            by_index[j] = vals[j] + r * (
                 gl * tails.left(j)
                 + gr * tails.right(n - j)
                 + cfg.sigma * window
             )
-        assert np.max(np.abs(system.rhs - rhs)) <= 1e-13
+        assert np.max(np.abs(rhs - by_index)) <= 1e-13
 
 
 class TestImplicitStep:
@@ -358,8 +361,8 @@ class TestImplicitStep:
                 plan = step_plan(cfg, table, tails, n, grid.h)
                 modes.add(plan.mode)
                 got = plan.advance(values, 0)
-                dense = assemble_system(FieldState(grid=grid, values=values), cfg, table, tails)
-                expected = np.linalg.solve(dense.matrix, dense.rhs)
+                state = FieldState(grid=grid, values=values)
+                expected = np.linalg.solve(*assemble_system(state, cfg, table, tails))
                 assert got[0] == 0.7 and got[-1] == -0.4
                 assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert modes == ({"", "same"} if n == 2 else {"", "same", "valid"})

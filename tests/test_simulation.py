@@ -22,14 +22,14 @@ from rieszfd import (
     build_grid,
     mass,
     max_stable_dt,
-    resolve_dt,
     run,
-    sample_initial,
     snapshot_error,
     validate_params,
     weight_table,
 )
+from rieszfd.grid import sample_initial
 from rieszfd.schemes import step_plan
+from rieszfd.simulate import resolve_dt
 
 
 def small_config(alpha=1.5, theta=0.0, sigma=1.0, t_end=0.1, snapshots=(), policy=None,
