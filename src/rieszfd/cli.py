@@ -13,12 +13,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
 from .config import build_manifest, output_directory, parse_config, write_manifest
 from .errors import ValidationError
-from .grid import FieldState
+from .grid import FieldState, Grid1D
 from .kernel import validate_params, weight_table
 from .oracles import convergence_study
 from .schemes import max_stable_dt
@@ -31,12 +29,21 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def write_snapshot_csv(state: FieldState, path) -> None:
+def _csv_template(grid: Grid1D) -> str:
+    """The text of a snapshot file on ``grid`` with every C left as a
+    %.17g field: the node column is formatted once for all snapshots."""
+    xs = grid.nodes().tolist()
+    return "x,C\n" + "%.17g,%%.17g\n" * len(xs) % tuple(xs)
+
+
+def write_snapshot_csv(state: FieldState, path, template: str | None = None) -> None:
     """Write one profile as ``x,C`` rows, one per node, full precision: one
     %-format giving the bytes of ``_fmt`` row by row, read back bit for bit
-    by ``config.read_profile_csv``."""
-    pairs = np.column_stack((state.grid.nodes(), state.values)).ravel().tolist()
-    Path(path).write_text("x,C\n" + "%.17g,%.17g\n" * (len(pairs) // 2) % tuple(pairs))
+    by ``config.read_profile_csv``.  ``template`` is ``_csv_template`` of
+    the state's grid, passed in to format the node column only once."""
+    if template is None:
+        template = _csv_template(state.grid)
+    Path(path).write_text(template % tuple(state.values.tolist()))
 
 
 def _snapshot_filenames(times: list[float]) -> list[str]:
@@ -60,8 +67,9 @@ def _cmd_simulate(args) -> int:
     # only now: a run that refuses its config leaves no directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
     names = _snapshot_filenames([state.time for state in series.snapshots])
+    template = _csv_template(config.grid)
     for state, name in zip(series.snapshots, names):
-        write_snapshot_csv(state, out_dir / name)
+        write_snapshot_csv(state, out_dir / name, template)
     manifest = build_manifest(series, duration, output_dir=str(out_dir))
     write_manifest(manifest, out_dir / "manifest.json")
     if args.plot_script:

@@ -167,17 +167,20 @@ class BoundarySpec:
             raise ValueError("time table must be strictly increasing in t")
         return cls(kind="time_table", table_t=ts, table_v=vs)
 
-    def at(self, t: float) -> float:
+    def at(self, t):
+        """Value at time t, or an array of the values at an array of times."""
         if self.kind == "constant":
-            return self.value
-        return float(np.interp(t, self.table_t, self.table_v))
+            return self.value if np.ndim(t) == 0 else np.full(np.shape(t), self.value)
+        values = np.interp(t, self.table_t, self.table_v)
+        return float(values) if np.ndim(t) == 0 else values
 
 
-def boundary_at_half_step(spec: BoundarySpec, dt: float, f: int) -> float:
-    """Boundary value at the half step t = dt * (f + 1/2)."""
+def boundary_at_half_step(spec: BoundarySpec, dt: float, f):
+    """Boundary value at the half step t = dt * (f + 1/2), or an array of
+    the values when ``f`` is an integer array of steps."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if f < 0:
+    if np.any(np.asarray(f) < 0):
         raise ValueError(f"step index must be >= 0, got {f}")
     return spec.at(dt * (f + 0.5))
 

@@ -20,13 +20,14 @@ pref = -1 / (2 Gamma(1 + b)):
     w_q = pref * (c_R * L(q) + [q = 1] * cross * c_L),  and w_{-q} mirrored
 
 On ``alpha < 1`` (b = 1 - alpha) the terms blend one-sided and central
-first-derivative stencils with ``lambda1 = alpha - |theta|``, cross =
-lambda1; on ``alpha > 1`` (b = 2 - alpha) central and four-point one-sided
-second-derivative stencils with ``lambda2 = 2 - (alpha + |theta|)``,
-cross = 2 - lambda2.  Both give finite weights as ``alpha -> 1``, which is
+first-derivative stencils with the blend weight ``lam = alpha - |theta|``,
+cross = lam; on ``alpha > 1`` (b = 2 - alpha) central and four-point
+one-sided second-derivative stencils with ``lam = 2 - (alpha + |theta|)``,
+cross = 2 - lam.  Both give finite weights as ``alpha -> 1``, which is
 the point of the construction.  Each law's coefficients sum to zero, so a
 tail sum over q >= j+1 telescopes to a few powers of j + d whose
-coefficients are cumulative sums of the same terms.
+coefficients are cumulative sums of the same terms.  ``_law`` is the one
+statement of this term table; ``oracles.tail_oracle`` reads it too.
 """
 
 from __future__ import annotations
@@ -99,14 +100,13 @@ def validate_params(
 class RfCoefficients:
     """Left/right splitting coefficients and the branch blend weight.
 
-    ``lambda1`` is set on the alpha < 1 branch, ``lambda2`` on alpha > 1;
-    the unused one is None.
+    ``lam`` is alpha - |theta| on the alpha < 1 branch and
+    2 - (alpha + |theta|) on alpha > 1, clamped to [0, 1].
     """
 
     c_left: float
     c_right: float
-    lambda1: float | None
-    lambda2: float | None
+    lam: float
 
 
 def rf_coefficients(params: FractionalParams) -> RfCoefficients:
@@ -125,11 +125,8 @@ def rf_coefficients(params: FractionalParams) -> RfCoefficients:
         c_right = math.sin((a + t) * math.pi / 2.0) / denom
     # the blend weight lies in [0, 1] for every valid pair; rounding at the
     # extreme-skew boundary can spill out by ~1 ulp, so clamp it back
-    if params.sub_one:
-        lam = min(1.0, max(0.0, a - abs(t)))
-        return RfCoefficients(c_left, c_right, lam, None)
-    lam = min(1.0, max(0.0, 2.0 - (a + abs(t))))
-    return RfCoefficients(c_left, c_right, None, lam)
+    lam = a - abs(t) if params.sub_one else 2.0 - (a + abs(t))
+    return RfCoefficients(c_left, c_right, min(1.0, max(0.0, lam)))
 
 
 def _law(params: FractionalParams):
@@ -137,11 +134,12 @@ def _law(params: FractionalParams):
     weight law; see the module docstring."""
     a = params.alpha
     c = rf_coefficients(params)
+    lam = c.lam
     if params.sub_one:
-        lam, top, cross = c.lambda1, 1.0, c.lambda1
+        top, cross = 1.0, lam
         terms = ((2, lam), (1, 2.0 - 3.0 * lam), (0, 3.0 * lam - 4.0), (-1, 2.0 - lam))
     else:
-        lam, top, cross = c.lambda2, 2.0, 2.0 - c.lambda2
+        top, cross = 2.0, 2.0 - lam
         terms = ((2, 2.0 - lam), (1, 4.0 * lam - 6.0), (0, 6.0 - 6.0 * lam),
                  (-1, 4.0 * lam - 2.0), (-2, -lam))
     pref = -1.0 / (2.0 * math.gamma(top + 1.0 - a))

@@ -1,12 +1,15 @@
 """Independent cross-checks: analytic kernels, reconstruction oracles, studies.
 
-Everything here deliberately avoids the closed-form code paths it is meant
-to check.  The weight oracle rebuilds stencil weights from the defining
-cell-integral decomposition term by term; the tail oracle sums the weight
-law directly and corrects the truncation with a midpoint-rule integral;
-the stability bound is re-derived through its per-branch expression.
-``p_coefficient`` is the exception: it scales the closed-form weights into
-the explicit update coefficients whose sum the identity checks test.
+The weight oracle rebuilds stencil weights from the defining
+cell-integral decomposition term by term, away from ``kernel._law``; it
+checks that law's term table, and ``verify`` runs it at 1e-12 ("closed-form
+weights match reconstruction oracle").  The tail oracle reads the term
+table from ``kernel._law`` and checks what is built on it: the closed-form
+telescoped sums of ``kernel._tail_core`` and ``kernel._cumulative``,
+against a direct sum of the law plus a midpoint-rule integral for the
+truncation.  The stability bound is re-derived through its per-branch
+expression.  ``p_coefficient`` scales the closed-form weights into the
+explicit update coefficients whose sum the identity checks test.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, NonpositiveTime
-from .kernel import FractionalParams, rf_coefficients, weight
+from .kernel import FractionalParams, _law, rf_coefficients, weight
 from .schemes import SchemeConfig
 from .simulate import SimulationConfig, run, snapshot_error
 
@@ -67,6 +70,7 @@ def weight_oracle(k: int, params: FractionalParams) -> float:
     """
     k = int(k)
     c = rf_coefficients(params)
+    lam = c.lam
     a = params.alpha
     acc = 0.0
 
@@ -77,7 +81,6 @@ def weight_oracle(k: int, params: FractionalParams) -> float:
         return ((m + 1.0) ** b - low) / g
 
     if params.sub_one:
-        lam = c.lambda1
         g = math.gamma(2.0 - a)
         b = 1.0 - a
         for m in range(abs(k) + 4):
@@ -91,7 +94,6 @@ def weight_oracle(k: int, params: FractionalParams) -> float:
                 if offset == k:
                     acc += 0.5 * c.c_right * coeff * v
     else:
-        lam = c.lambda2
         g = math.gamma(3.0 - a)
         b = 2.0 - a
         for m in range(abs(k) + 4):
@@ -116,36 +118,10 @@ def weight_oracle(k: int, params: FractionalParams) -> float:
     return acc
 
 
-def _outer_law(params: FractionalParams):
-    """Smooth |k| >= 2 weight law as (exponent, prefactor, (shift, coeff) terms).
-
-    The coefficients sum to zero, which the stable summation below exploits.
-    """
-    a = params.alpha
-    coeffs = rf_coefficients(params)
-    if params.sub_one:
-        lam = coeffs.lambda1
-        b = 1.0 - a
-        pref = -1.0 / (2.0 * math.gamma(2.0 - a))
-        terms = ((2.0, lam), (1.0, 2.0 - 3.0 * lam), (0.0, 3.0 * lam - 4.0), (-1.0, 2.0 - lam))
-    else:
-        lam = coeffs.lambda2
-        b = 2.0 - a
-        pref = -1.0 / (2.0 * math.gamma(3.0 - a))
-        terms = (
-            (2.0, 2.0 - lam),
-            (1.0, 4.0 * lam - 6.0),
-            (0.0, 6.0 - 6.0 * lam),
-            (-1.0, 4.0 * lam - 2.0),
-            (-2.0, -lam),
-        )
-    return b, pref, terms
-
-
 def _outer_weights(ks: np.ndarray, params: FractionalParams, side: float) -> np.ndarray:
     # sum_i c_i (k+d_i)**b == k**b * sum_i c_i * expm1(b*log1p(d_i/k)): the
     # rearrangement avoids cancellation of O(k**b) powers at large k
-    b, pref, terms = _outer_law(params)
+    _, b, pref, _, terms = _law(params)
     k = np.asarray(ks, dtype=float)
     if b == 0.0:
         # alpha = 2: the stencil is compact, every outer weight vanishes
@@ -161,7 +137,7 @@ def _remainder_integral(edge: float, params: FractionalParams, side: float) -> f
     # midpoint rule: sum_{k > cutoff} w_k ~= integral of the weight law from
     # cutoff + 1/2 to infinity, which the power antiderivative gives in closed
     # form; the error is two orders beyond the leading tail term
-    b, pref, terms = _outer_law(params)
+    _, b, pref, _, terms = _law(params)
     if b == 0.0:
         return 0.0
     bb = b + 1.0
@@ -203,10 +179,9 @@ def stability_bound_split(params: FractionalParams, k_alpha: float, h: float) ->
     c = rf_coefficients(params)
     a = params.alpha
     lead = 2.0 * h**a / (k_alpha * (c.c_left + c.c_right))
+    lam = c.lam
     if params.sub_one:
-        lam = c.lambda1
         return lead * math.gamma(2.0 - a) / (2.0 ** (1.0 - a) * lam - 3.0 * lam + 2.0)
-    lam = c.lambda2
     return lead * math.gamma(3.0 - a) / (2.0 ** (2.0 - a) * (2.0 - lam) + 4.0 * lam - 6.0)
 
 
@@ -241,7 +216,8 @@ def convergence_study(
     from the config's policy; errors are measured at t_end against the
     applicable analytic kernel.  Rates are reported, not asserted.  Raises
     ConfigInvalid, before any run, for a negative refinement count or a
-    window that is not finite with lo < hi.
+    window that is not finite with lo < hi or holds no node of the base
+    grid (every finer level holds every base node).
     """
     if refinements < 0:
         raise ConfigInvalid(f"refinements must be >= 0, got {refinements}")
@@ -249,6 +225,9 @@ def convergence_study(
         lo, hi = x_window
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigInvalid(f"x_window must be finite with lo < hi, got {x_window}")
+        xs = base_config.grid.nodes()
+        if not np.any((xs >= lo) & (xs <= hi)):
+            raise ConfigInvalid(f"x_window {x_window} holds no node of the grid")
     scheme = base_config.scheme
     kernel = reference_kernel_for(scheme.params, scheme.k_alpha)
     rows = []

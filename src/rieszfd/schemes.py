@@ -118,7 +118,9 @@ class StepPlan:
     the ``np.correlate`` ``mode`` that gives one output per node (None and
     "" at sigma = 0, P = I); ``left``/``right`` are r s_L(i)/r s_R(N-i)
     minus T's Dirichlet columns (sigma - 1) r w_{-i}/w_{N-i};
-    ``factorization`` is T's (None at sigma = 1, T = I).
+    ``factorization`` is T's (None at sigma = 1, T = I).  ``advance``
+    takes any number of steps in one call, the same arithmetic in the same
+    order as that many one-step calls.
     """
 
     dt: float
@@ -130,23 +132,27 @@ class StepPlan:
     right: np.ndarray
     factorization: ToeplitzFactorization | TridiagonalFactorization | None
 
-    def advance(self, values: np.ndarray, f: int) -> np.ndarray:
-        """The N+1 nodal values C^{f+1} from C^f, as a new array; the end
-        nodes take the boundary values at the half step."""
-        g_left = boundary_at_half_step(self.bc_left, self.dt, f)
-        g_right = boundary_at_half_step(self.bc_right, self.dt, f)
-        if self.stencil is None:
-            new = values.copy()
-        else:
-            new = np.correlate(values, self.stencil, self.mode)
-        if g_left != 0.0:
-            new[1:-1] += g_left * self.left
-        if g_right != 0.0:
-            new[1:-1] += g_right * self.right
-        if self.factorization is not None:
-            new[1:-1] = self.factorization.solve(new[1:-1])
-        new[0], new[-1] = g_left, g_right
-        return new
+    def advance(self, values: np.ndarray, f: int, steps: int = 1) -> np.ndarray:
+        """The N+1 nodal values C^{f+steps} from C^f, as a new array
+        (steps >= 1).  The boundary values of all the half steps are
+        evaluated at once; each step then takes the end nodes to its own."""
+        half_steps = np.arange(f, f + steps)
+        g_lefts = boundary_at_half_step(self.bc_left, self.dt, half_steps).tolist()
+        g_rights = boundary_at_half_step(self.bc_right, self.dt, half_steps).tolist()
+        for g_left, g_right in zip(g_lefts, g_rights):
+            if self.stencil is None:
+                new = values.copy()
+            else:
+                new = np.correlate(values, self.stencil, self.mode)
+            if g_left != 0.0:
+                new[1:-1] += g_left * self.left
+            if g_right != 0.0:
+                new[1:-1] += g_right * self.right
+            if self.factorization is not None:
+                new[1:-1] = self.factorization.solve(new[1:-1])
+            new[0], new[-1] = g_left, g_right
+            values = new
+        return values
 
 
 def step_plan(

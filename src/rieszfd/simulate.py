@@ -23,6 +23,9 @@ _ALIGN_STEP_CAP = 50_000_000
 # runs of more steps are refused before anything is built: 10**8 steps
 # take about ten minutes at a few microseconds a step, a day at a millisecond
 _STEP_BUDGET = 10**8
+# steps per ``advance`` call: the boundary values it evaluates at once
+# stay a few pages however far apart two recorded steps are
+_SEGMENT_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,8 @@ class DtPolicy:
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """A run's inputs; its dt comes from ``dt_policy`` alone, never the scheme."""
+
     grid: Grid1D
     scheme: SchemeConfig
     initial: InitialCondition
@@ -55,6 +60,11 @@ class SimulationConfig:
     dt_policy: DtPolicy = DtPolicy.auto(0.9)
 
     def __post_init__(self):
+        if self.scheme.dt is not None:
+            raise ConfigInvalid(
+                f"scheme dt={self.scheme.dt} would be ignored: a run takes dt from "
+                f"dt_policy; use DtPolicy.fixed(dt) and leave the scheme's dt unset"
+            )
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise ConfigInvalid(f"t_end must be positive and finite, got {self.t_end}")
         times = tuple(sorted(float(t) for t in self.snapshot_times))
@@ -85,25 +95,10 @@ class SnapshotSeries:
         return best
 
 
-def _canonical_text(obj) -> str:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = (
-            (f.name, _canonical_text(getattr(obj, f.name)))
-            for f in dataclasses.fields(obj)
-            if f.compare
-        )
-        inner = ",".join(f"{name}={text}" for name, text in fields)
-        return f"{type(obj).__name__}({inner})"
-    if isinstance(obj, float):
-        return repr(obj)
-    if isinstance(obj, (tuple, list)):
-        return "[" + ",".join(_canonical_text(v) for v in obj) + "]"
-    return repr(obj)
-
-
 def config_hash(config: SimulationConfig) -> str:
-    """Short content hash of every resolved config field."""
-    return hashlib.sha256(_canonical_text(config).encode()).hexdigest()[:12]
+    """First 12 hex digits of the sha256 of ``repr(config)``: the dataclass
+    repr gives every nested field, floats exactly and tuples in full."""
+    return hashlib.sha256(repr(config).encode()).hexdigest()[:12]
 
 
 def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
@@ -160,9 +155,10 @@ def run(config: SimulationConfig) -> SnapshotSeries:
     to stepping ``implicit_step`` by hand.  An unstable explicit dt or a
     step count past the budget is refused before anything is built.  The
     weight table, the tail sums and from them the ``step_plan`` (for
-    sigma < 1 with the factored interior Toeplitz system) are built once;
-    the loop then steps bare arrays and wraps only the recorded ones in a
-    ``FieldState``.
+    sigma < 1 with the factored interior Toeplitz system) are built once.
+    The loop then advances bare arrays from one recorded step to the next,
+    in ``StepPlan.advance`` calls of up to ``_SEGMENT_STEPS`` steps, and
+    wraps only the recorded ones in a ``FieldState``.
     """
     dt, n_steps = resolve_dt(config)
     grid = config.grid
@@ -181,11 +177,13 @@ def run(config: SimulationConfig) -> SnapshotSeries:
     wanted[n_steps] = None
 
     plan = step_plan(scheme, table, tails, grid.n_cells, grid.h)
-    values = state.values
-    for f in range(1, n_steps + 1):
-        values = plan.advance(values, f - 1)
-        if f in wanted:
-            recorded.append(FieldState(grid=grid, values=values, time=dt * f, step_index=f))
+    values, done = state.values, 0
+    for f in sorted(wanted):
+        while done < f:
+            steps = min(f - done, _SEGMENT_STEPS)
+            values = plan.advance(values, done, steps)
+            done += steps
+        recorded.append(FieldState(grid=grid, values=values, time=dt * f, step_index=f))
     return SnapshotSeries(
         config=config,
         dt=dt,

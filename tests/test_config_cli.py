@@ -18,6 +18,7 @@ from rieszfd import (
     weight,
 )
 import rieszfd
+import rieszfd.oracles
 from rieszfd import cli
 from rieszfd.cli import main, write_snapshot_csv
 from rieszfd.config import (
@@ -426,8 +427,14 @@ class TestCli:
         (["--levels", "-1"], "refinements"),
         (["--levels", "1", "--window", "5", "-5"], "x_window"),
         (["--levels", "1", "--window", "nan", "3"], "x_window"),
+        (["--levels", "0", "--window", "0.17", "0.23"], "x_window"),  # between two nodes
+        (["--levels", "0", "--window", "100", "200"], "x_window"),  # outside the domain
     ])
-    def test_converge_invalid_request_exits_2(self, tmp_path, capsys, extra, key):
+    def test_converge_invalid_request_exits_2(self, tmp_path, capsys, monkeypatch, extra, key):
+        def refuse(config):
+            raise AssertionError("the request is refused before any run")
+
+        monkeypatch.setattr(rieszfd.oracles, "run", refuse)
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(tiny_document(alpha=2.0, n_cells=50, t_end=0.05)))
         assert main(["converge", "--config", str(config_path), *extra]) == 2

@@ -69,12 +69,12 @@ class TestCoefficients:
         c = rf_coefficients(validate_params(0.5, 0.0))
         assert c.c_left == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-15)
         assert c.c_right == c.c_left
-        assert c.lambda1 == 0.5 and c.lambda2 is None
+        assert c.lam == 0.5
 
     def test_alpha_two_limit(self):
         c = rf_coefficients(validate_params(2.0, 0.0))
         assert (c.c_left, c.c_right) == (-0.5, -0.5)
-        assert c.lambda2 == 0.0
+        assert c.lam == 0.0
         # the special case agrees with the formula approaching the 0/0 point
         near = rf_coefficients(validate_params(2.0 - 1e-8, 0.0))
         assert near.c_left == pytest.approx(-0.5, abs=1e-7)
@@ -84,7 +84,7 @@ class TestCoefficients:
         c = rf_coefficients(validate_params(0.999, 0.999))
         assert c.c_left == 0.0
         assert c.c_right == pytest.approx(1.0, abs=1e-15)
-        assert c.lambda1 == 0.0
+        assert c.lam == 0.0
 
     def test_theta_zero_left_right_equal(self):
         for p in sample_params(50, seed=11):
@@ -94,8 +94,7 @@ class TestCoefficients:
     def test_blend_weight_in_unit_interval(self):
         for p in sample_params(100, seed=12):
             c = rf_coefficients(p)
-            lam = c.lambda1 if p.alpha < 1 else c.lambda2
-            assert 0.0 <= lam <= 1.0
+            assert 0.0 <= c.lam <= 1.0
 
 
 class TestWeights:

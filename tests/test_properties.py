@@ -302,8 +302,9 @@ def runs(draw):
 @PROPERTY_SETTINGS
 @given(runs())
 def test_run_equals_stepping_by_hand(case):
-    # run steps one plan on bare arrays, implicit_step builds a plan for
-    # each step: every recorded state agrees bit for bit
+    # run advances one plan from one recorded step to the next on bare
+    # arrays, implicit_step builds a plan for each step: every recorded
+    # state agrees bit for bit
     (alpha, theta), sigma, n, steps = case
     params = validate_params(alpha, theta)
     grid = build_grid(0.0, 1.0, n)
@@ -326,3 +327,6 @@ def test_run_equals_stepping_by_hand(case):
     for snap in series.snapshots:
         ref = by_hand[snap.step_index]
         assert snap.time == ref.time and np.array_equal(snap.values, ref.values)
+    # steps=k in one advance call against k single calls
+    plan = step_plan(cfg, table, tails, n, grid.h)
+    assert np.array_equal(plan.advance(by_hand[0].values, 0, steps), by_hand[-1].values)

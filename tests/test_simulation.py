@@ -61,6 +61,13 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             small_config(snapshots=(math.nan,))
 
+    def test_scheme_dt_is_refused(self):
+        # a run takes dt from the policy alone: a scheme dt would be ignored
+        base = small_config(n_cells=10)
+        scheme = dataclasses.replace(base.scheme, dt=0.5)
+        with pytest.raises(ConfigInvalid, match="dt_policy"):
+            dataclasses.replace(base, scheme=scheme)
+
     def test_policy_validation(self):
         with pytest.raises(ConfigInvalid):
             DtPolicy.auto(1.5)
