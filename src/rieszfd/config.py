@@ -222,7 +222,6 @@ def parse_config(text_or_mapping, base_dir: Path | None = None) -> SimulationCon
         scheme = SchemeConfig(
             params=params,
             k_alpha=_number(doc["k_alpha"], "k_alpha"),
-            dt=None,
             sigma=sigma,
             bc_left=_parse_boundary(doc.get("bc_left"), "bc_left"),
             bc_right=_parse_boundary(doc.get("bc_right"), "bc_right"),

@@ -45,21 +45,21 @@ from .errors import (
     WindowTooSmall,
 )
 
-DEFAULT_ALPHA_ONE_GUARD = 1e-6
+# the half-width of the band around the excluded order alpha = 1
+ALPHA_ONE_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
 class FractionalParams:
     """Validated operator order and skewness.
 
-    Requires 0 < alpha <= 2, |alpha - 1| >= alpha_one_guard and
-    |theta| <= min(alpha, 2 - alpha).  Construction fails loudly on
+    Requires 0 < alpha <= 2, |alpha - 1| >= ``ALPHA_ONE_GUARD`` (1e-6)
+    and |theta| <= min(alpha, 2 - alpha).  Construction fails loudly on
     violation; nothing is clamped.
     """
 
     alpha: float
     theta: float
-    alpha_one_guard: float = DEFAULT_ALPHA_ONE_GUARD
 
     def __post_init__(self):
         a, t = float(self.alpha), float(self.theta)
@@ -67,9 +67,9 @@ class FractionalParams:
         object.__setattr__(self, "theta", t)
         if not math.isfinite(a) or a <= 0.0 or a > 2.0:
             raise OutOfRangeAlpha(f"alpha must lie in (0, 2], got {a}")
-        if abs(a - 1.0) < self.alpha_one_guard:
+        if abs(a - 1.0) < ALPHA_ONE_GUARD:
             raise AlphaNearOne(
-                f"alpha={a} is within {self.alpha_one_guard} of the excluded "
+                f"alpha={a} is within {ALPHA_ONE_GUARD} of the excluded "
                 f"value 1; pass e.g. alpha=1-1e-3 explicitly for near-1 behaviour"
             )
         limit = min(a, 2.0 - a)
@@ -86,14 +86,12 @@ class FractionalParams:
         return self.alpha < 1.0
 
 
-def validate_params(
-    alpha: float, theta: float, alpha_one_guard: float = DEFAULT_ALPHA_ONE_GUARD
-) -> FractionalParams:
+def validate_params(alpha: float, theta: float) -> FractionalParams:
     """Validate (alpha, theta) and return the parameter object.
 
     Raises OutOfRangeAlpha, AlphaNearOne or SkewnessTooLarge.
     """
-    return FractionalParams(alpha, theta, alpha_one_guard)
+    return FractionalParams(alpha, theta)
 
 
 @dataclass(frozen=True)
@@ -171,17 +169,19 @@ def _powers(bases: np.ndarray, b: float) -> np.ndarray:
 def _weights(ks: np.ndarray, params: FractionalParams) -> np.ndarray:
     """w_k for every integer offset in ``ks``, from the one law."""
     c, b, pref, cross, terms = _law(params)
-    q = np.abs(ks).astype(float)
-    powers = {shift: _powers(q + shift, b) for shift, _ in terms}
+    qi = np.abs(ks)
+    # P(i) = i**b once for i = -3..max|k|+2; diffs[q + e + 2] = P(q+e) - P(q+e-1)
+    powers = _powers(np.arange(-3.0, qi.max(initial=0) + 3.0), b)
+    diffs = powers[1:] - powers[:-1]
     # L(q) = sum_e C_e (P(q+e) - P(q+e-1)): zero-sum whatever the rounding
     # of the coefficients, and each difference of two adjacent powers is
     # exact (Sterbenz), so no error grows like q**b
-    law = sum(cum * (powers[shift] - powers[shift - 1]) for shift, cum in _cumulative(terms))
+    law = sum(cum * diffs[qi + shift + 2] for shift, cum in _cumulative(terms))
     side = np.where(ks < 0, c.c_left, np.where(ks > 0, c.c_right, c.c_left + c.c_right))
     other = np.where(ks < 0, c.c_right, c.c_left)
     expr = law * side
     # the cross term goes only where it applies: adding 0.0 would turn -0.0 into 0.0
-    return pref * np.where(q == 1, expr + cross * other, expr)
+    return pref * np.where(qi == 1, expr + cross * other, expr)
 
 
 def weight(k: int, params: FractionalParams) -> float:

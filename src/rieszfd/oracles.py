@@ -185,10 +185,10 @@ def stability_bound_split(params: FractionalParams, k_alpha: float, h: float) ->
     return lead * math.gamma(3.0 - a) / (2.0 ** (2.0 - a) * (2.0 - lam) + 4.0 * lam - 6.0)
 
 
-def p_coefficient(k: int, cfg: SchemeConfig, h: float) -> float:
+def p_coefficient(k: int, cfg: SchemeConfig, dt: float, h: float) -> float:
     """Explicit update coefficient: 1 + r*w_0 at k = 0, r*w_k otherwise,
     with r = k_alpha * dt / h**alpha."""
-    r = cfg.k_alpha * cfg._require_dt() / h**cfg.params.alpha
+    r = cfg.k_alpha * dt / h**cfg.params.alpha
     w = weight(int(k), cfg.params)
     return 1.0 + r * w if k == 0 else r * w
 

@@ -32,36 +32,25 @@ from .linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_fa
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Diffusion coefficient, time step, sigma weight and boundary data.
+    """Diffusion coefficient, sigma weight and boundary data of a scheme.
 
-    ``dt`` may be None when a simulation-level policy resolves it later;
-    the step itself requires a concrete value.  A run at sigma = 1 refuses
-    dt at or above the positivity bound unless ``allow_unstable_dt`` is
-    set; the run checks this once, when it resolves dt.
+    The time step is not part of it: ``run`` resolves dt from the
+    simulation's ``DtPolicy``, and ``step_plan`` takes dt as an argument.
     """
 
     params: FractionalParams
     k_alpha: float
-    dt: float | None = None
     sigma: float = 1.0
     bc_left: BoundarySpec = BoundarySpec.constant(0.0)
     bc_right: BoundarySpec = BoundarySpec.constant(0.0)
-    allow_unstable_dt: bool = False
 
     def __post_init__(self):
         if not (self.k_alpha > 0.0 and math.isfinite(self.k_alpha)):
             raise ValueError(
                 f"diffusion coefficient must be positive and finite, got {self.k_alpha}"
             )
-        if self.dt is not None and not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
-
-    def _require_dt(self) -> float:
-        if self.dt is None:
-            raise ValueError("scheme has no concrete dt; set dt or use a dt policy")
-        return self.dt
 
 
 def max_stable_dt(params: FractionalParams, k_alpha: float, h: float) -> float:
@@ -103,9 +92,15 @@ def rf_apply_bounded(
     return (window + boundary) / state.grid.h ** table.params.alpha
 
 
-def _implicit_ratio(cfg: SchemeConfig, h: float) -> float:
-    """(sigma - 1) K dt / h**alpha, the factor of w_{j-i} in the system."""
-    return (cfg.sigma - 1.0) * cfg.k_alpha * cfg._require_dt() / h**cfg.params.alpha
+def _implicit_ratio(cfg: SchemeConfig, dt: float, h: float) -> float:
+    """(sigma - 1) K dt / h**alpha, the factor of w_{j-i} in the system.
+
+    The one check of dt for the step and its dense reference: raises
+    ValueError unless dt is positive and finite.
+    """
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    return (cfg.sigma - 1.0) * cfg.k_alpha * dt / h**cfg.params.alpha
 
 
 @dataclass(frozen=True)
@@ -156,19 +151,20 @@ class StepPlan:
 
 
 def step_plan(
-    cfg: SchemeConfig, table: WeightTable, tails: TailSums, n_cells: int, h: float
+    cfg: SchemeConfig, dt: float, table: WeightTable, tails: TailSums, n_cells: int, h: float
 ) -> StepPlan:
-    """Build the coefficients of a step once per run; O(N) memory.
+    """Build the coefficients of a step of size dt once per run; O(N) memory.
 
     They are read from the weight table, which must cover [-(N-1), N-1].
     The stencil's correlation mode is picked once, by
     ``WeightTable._node_stencil``.  T is factored only below sigma = 1.
+    dt must be positive and finite (ValueError otherwise); it is not
+    compared with the explicit bound, so a plan may step past it.
     """
     n = int(n_cells)
     table._require_window(n)
-    dt = cfg._require_dt()
+    ratio = _implicit_ratio(cfg, dt, h)
     r = cfg.k_alpha * dt / h**cfg.params.alpha
-    ratio = _implicit_ratio(cfg, h)
     offsets = np.arange(n)
     below = ratio * table.weights[-table.k_min - offsets]  # ratio * w_0, w_-1, ..., w_-(N-1)
     above = ratio * table.weights[-table.k_min + offsets]  # ratio * w_0, w_1, ..., w_(N-1)
@@ -195,6 +191,7 @@ def step_plan(
 def assemble_system(
     state: FieldState,
     cfg: SchemeConfig,
+    dt: float,
     table: WeightTable,
     tails: TailSums,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -204,13 +201,13 @@ def assemble_system(
     boundary rows; b = C^f + dt K rf_apply_bounded(C^f) on interior rows,
     with the boundary values on the end rows.
     """
-    dt = cfg._require_dt()
+    ratio = _implicit_ratio(cfg, dt, state.grid.h)
     f = state.step_index
     gl = boundary_at_half_step(cfg.bc_left, dt, f)
     gr = boundary_at_half_step(cfg.bc_right, dt, f)
     n = state.grid.n_cells
     matrix = np.eye(n + 1)
-    matrix[1:-1] += _implicit_ratio(cfg, state.grid.h) * table.application_matrix(n)
+    matrix[1:-1] += ratio * table.application_matrix(n)
     op = rf_apply_bounded(state, gl, gr, table, tails, cfg.sigma)
     rhs = np.empty_like(state.values)
     rhs[1:-1] = state.values[1:-1] + dt * cfg.k_alpha * op
@@ -219,23 +216,16 @@ def assemble_system(
     return matrix, rhs
 
 
-def implicit_step(
-    state: FieldState,
-    cfg: SchemeConfig,
-    table: WeightTable,
-    tails: TailSums,
-    plan: StepPlan | None = None,
-) -> FieldState:
-    """One sigma-weighted step: solve A C^{f+1} = b.
+def implicit_step(state: FieldState, plan: StepPlan) -> FieldState:
+    """One sigma-weighted step of ``state`` by a ``step_plan``: solve
+    A C^{f+1} = b.
 
-    At sigma = 1 A is the identity and nothing is factored or solved.  Pass
-    the ``step_plan`` in when stepping repeatedly so its coefficients are
-    built, and A factored, once.  The boundary nodes take the prescribed
-    values.  The step does not compare dt with the explicit bound; ``run``
-    does that once, when it resolves dt.
+    The plan holds dt, both boundary specs and every coefficient, and is
+    built once for any number of steps.  At sigma = 1 A is the identity and
+    nothing is solved.  The boundary nodes take the prescribed values.  The
+    step does not compare dt with the explicit bound; ``run`` does that
+    once, when it resolves dt.
     """
-    if plan is None:
-        plan = step_plan(cfg, table, tails, state.grid.n_cells, state.grid.h)
     f = state.step_index
     values = plan.advance(state.values, f)
     return FieldState(grid=state.grid, values=values, time=plan.dt * (f + 1), step_index=f + 1)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
@@ -50,7 +49,7 @@ class DtPolicy:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """A run's inputs; its dt comes from ``dt_policy`` alone, never the scheme."""
+    """A run's inputs; its dt comes from ``dt_policy``."""
 
     grid: Grid1D
     scheme: SchemeConfig
@@ -60,11 +59,6 @@ class SimulationConfig:
     dt_policy: DtPolicy = DtPolicy.auto(0.9)
 
     def __post_init__(self):
-        if self.scheme.dt is not None:
-            raise ConfigInvalid(
-                f"scheme dt={self.scheme.dt} would be ignored: a run takes dt from "
-                f"dt_policy; use DtPolicy.fixed(dt) and leave the scheme's dt unset"
-            )
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise ConfigInvalid(f"t_end must be positive and finite, got {self.t_end}")
         times = tuple(sorted(float(t) for t in self.snapshot_times))
@@ -112,8 +106,8 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
     A step count past ``_STEP_BUDGET`` (10**8) raises ConfigInvalid.
 
     This is the run's one stability check: at sigma = 1 a dt at or above
-    the explicit bound raises UnstableTimestep unless the scheme sets
-    ``allow_unstable_dt``.
+    the explicit bound raises UnstableTimestep.  There is no override; a
+    ``step_plan`` stepped by hand is never checked against the bound.
     """
     policy = config.dt_policy
     scheme = config.scheme
@@ -140,11 +134,8 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
             if aligned <= _ALIGN_STEP_CAP:
                 n = aligned
         dt = config.t_end / n
-    if scheme.sigma == 1.0 and not scheme.allow_unstable_dt and dt >= bound:
-        raise UnstableTimestep(
-            f"dt={dt} is at or above the explicit bound {bound}; "
-            f"reduce dt or set allow_unstable_dt"
-        )
+    if scheme.sigma == 1.0 and dt >= bound:
+        raise UnstableTimestep(f"dt={dt} is at or above the explicit bound {bound}; reduce dt")
     return dt, n
 
 
@@ -152,17 +143,18 @@ def run(config: SimulationConfig) -> SnapshotSeries:
     """Advance the field from t = 0 past t_end, recording snapshots.
 
     Deterministic: identical configs produce bit-identical series, equal
-    to stepping ``implicit_step`` by hand.  An unstable explicit dt or a
-    step count past the budget is refused before anything is built.  The
-    weight table, the tail sums and from them the ``step_plan`` (for
-    sigma < 1 with the factored interior Toeplitz system) are built once.
+    to stepping ``implicit_step`` by hand with a plan of the same dt.  An
+    unstable explicit dt or a step count past the budget is refused before
+    anything is built.  The weight table, the tail sums and from them the
+    ``step_plan`` (for sigma < 1 with the factored interior Toeplitz
+    system) are built once.
     The loop then advances bare arrays from one recorded step to the next,
     in ``StepPlan.advance`` calls of up to ``_SEGMENT_STEPS`` steps, and
     wraps only the recorded ones in a ``FieldState``.
     """
     dt, n_steps = resolve_dt(config)
     grid = config.grid
-    scheme = dataclasses.replace(config.scheme, dt=dt)
+    scheme = config.scheme
     table = weight_table(scheme.params, -(grid.n_cells - 1), grid.n_cells - 1)
     tails = TailSums(scheme.params)
 
@@ -176,7 +168,7 @@ def run(config: SimulationConfig) -> SnapshotSeries:
         wanted[min(n_steps, max(1, round(t / dt)))] = None
     wanted[n_steps] = None
 
-    plan = step_plan(scheme, table, tails, grid.n_cells, grid.h)
+    plan = step_plan(scheme, dt, table, tails, grid.n_cells, grid.h)
     values, done = state.values, 0
     for f in sorted(wanted):
         while done < f:

@@ -177,17 +177,18 @@ def _check_implicit_solve() -> CheckResult:
     for alpha, theta, sigma, n in IMPLICIT_CASES:
         params = validate_params(alpha, theta)
         grid = build_grid(0.0, 1.0, n)
+        dt = 0.8 * grid.h**alpha
         cfg = SchemeConfig(
-            params=params, k_alpha=1.0, dt=0.8 * grid.h**alpha, sigma=sigma,
+            params=params, k_alpha=1.0, sigma=sigma,
             bc_left=BoundarySpec.constant(0.7), bc_right=BoundarySpec.constant(-0.4),
         )
         table = weight_table(params, -(n - 1), n - 1)
         tails = TailSums(params)
         state = FieldState(grid=grid, values=np.cos(np.arange(n + 1.0)))
-        matrix, rhs = assemble_system(state, cfg, table, tails)
+        matrix, rhs = assemble_system(state, cfg, dt, table, tails)
         expected = lu_solve(lu_factor(matrix), rhs)
-        plan = step_plan(cfg, table, tails, n, grid.h)
-        got = implicit_step(state, cfg, table, tails, plan).values
+        plan = step_plan(cfg, dt, table, tails, n, grid.h)
+        got = implicit_step(state, plan).values
         diff = np.max(np.abs(got[1:-1] - expected[1:-1])) / np.max(np.abs(expected))
         worst = max(worst, diff)
         if isinstance(plan.factorization, ToeplitzFactorization):

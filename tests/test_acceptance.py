@@ -30,6 +30,7 @@ from rieszfd import (
 )
 from rieszfd.grid import sample_initial
 from rieszfd.oracles import p_coefficient, stability_bound_split, tail_oracle, weight_oracle
+from rieszfd.schemes import step_plan
 from conftest import sample_params
 
 # frozen 6-decimal reference weights, theta = 0
@@ -118,15 +119,15 @@ def test_criterion_04_classical_heat_scheme_limit():
     params = validate_params(2.0, 0.0)
     grid = build_grid(-10.0, 10.0, 200)
     dt = 0.5 * max_stable_dt(params, 1.0, grid.h)
-    cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt)
+    cfg = SchemeConfig(params=params, k_alpha=1.0)
     table = weight_table(params, -(grid.n_cells - 1), grid.n_cells - 1)
-    tails = TailSums(params)
+    plan = step_plan(cfg, dt, table, TailSums(params), grid.n_cells, grid.h)
     state = sample_initial(InitialCondition.delta(), grid)
     reference = state.values.copy()
     lam = cfg.k_alpha * dt / grid.h**2
     worst = 0.0
     for _ in range(100):
-        state = implicit_step(state, cfg, table, tails)
+        state = implicit_step(state, plan)
         new = reference.copy()
         new[1:-1] = reference[1:-1] + lam * (
             reference[2:] - 2.0 * reference[1:-1] + reference[:-2]
@@ -182,15 +183,15 @@ def test_criterion_07_mass_conservation():
     params = validate_params(2.0, 0.0)
     grid = build_grid(-10.0, 10.0, 1000)
     dt = 0.9 * max_stable_dt(params, 1.0, grid.h)
-    cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt)
+    cfg = SchemeConfig(params=params, k_alpha=1.0)
     table = weight_table(params, -(grid.n_cells - 1), grid.n_cells - 1)
-    tails = TailSums(params)
+    plan = step_plan(cfg, dt, table, TailSums(params), grid.n_cells, grid.h)
     state = sample_initial(InitialCondition.delta(), grid)
     m0 = mass(state)
     margin = grid.n_cells
     drift = 0.0
     for _ in range(1000):
-        state = implicit_step(state, cfg, table, tails)
+        state = implicit_step(state, plan)
         support = np.nonzero(np.abs(state.values) > 1e-12)[0]
         margin = min(margin, int(support[0]), int(grid.n_cells - support[-1]))
         drift = max(drift, abs(mass(state) - m0))
@@ -222,7 +223,7 @@ def test_criterion_09_sigma_cross_checks():
         grid = build_grid(0.0, 1.0, 12 + trial)
         dt = 0.5 * max_stable_dt(params, 1.0, grid.h)
         cfg = SchemeConfig(
-            params=params, k_alpha=1.0, dt=dt, sigma=1.0,
+            params=params, k_alpha=1.0, sigma=1.0,
             bc_left=BoundarySpec.constant(float(rng.uniform(-1, 1))),
             bc_right=BoundarySpec.constant(float(rng.uniform(-1, 1))),
         )
@@ -230,12 +231,13 @@ def test_criterion_09_sigma_cross_checks():
         tails = TailSums(params)
         n = grid.n_cells
         vals = rng.uniform(-1, 1, n + 1)
-        implicit = implicit_step(FieldState(grid=grid, values=vals), cfg, table, tails)
+        plan = step_plan(cfg, dt, table, tails, n, grid.h)
+        implicit = implicit_step(FieldState(grid=grid, values=vals), plan)
         # the explicit update written with its coefficients p_k and the tails
         r = cfg.k_alpha * dt / grid.h**params.alpha
         gl, gr = cfg.bc_left.value, cfg.bc_right.value
         explicit = np.array([gl] + [
-            sum(p_coefficient(k, cfg, grid.h) * vals[j + k] for k in range(-j, n - j + 1))
+            sum(p_coefficient(k, cfg, dt, grid.h) * vals[j + k] for k in range(-j, n - j + 1))
             + r * (gl * tails.left(j) + gr * tails.right(n - j))
             for j in range(1, n)
         ] + [gr])
@@ -244,12 +246,12 @@ def test_criterion_09_sigma_cross_checks():
     params = validate_params(1.5, 0.0)
     grid = build_grid(0.0, 1.0, 20)
     cfg = SchemeConfig(
-        params=params, k_alpha=1.0, dt=0.01, sigma=0.0,
+        params=params, k_alpha=1.0, sigma=0.0,
         bc_left=BoundarySpec.constant(4.0), bc_right=BoundarySpec.constant(4.0),
     )
     table = weight_table(params, -19, 19)
     state = FieldState(grid=grid, values=np.full(21, 4.0))
-    state = implicit_step(state, cfg, table, TailSums(params))
+    state = implicit_step(state, step_plan(cfg, 0.01, table, TailSums(params), 20, grid.h))
     fixed_point_drift = float(np.max(np.abs(state.values - 4.0)))
     report(
         "criterion 9, sigma cross-checks",

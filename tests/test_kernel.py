@@ -51,9 +51,6 @@ class TestValidateParams:
         with pytest.raises(AlphaNearOne):
             validate_params(1.0000001, 0.0)  # 1e-7 inside the default 1e-6 band
         validate_params(1.0000011, 0.0)
-        # guard width is configurable
-        with pytest.raises(AlphaNearOne):
-            validate_params(1.01, 0.0, alpha_one_guard=0.05)
 
     def test_skewness_bound(self):
         with pytest.raises(SkewnessTooLarge):
@@ -126,6 +123,17 @@ class TestWeights:
             table = weight_table(p, -7, 9)
             for k in range(-7, 10):
                 assert table.weight(k) == weight(k, p)
+        # bit for bit, signed zeros included: the table of powers a weight
+        # is read from is as long as max|k|, so one offset alone and a whole
+        # window use tables of different lengths.  alpha = 2, near 1 and
+        # extreme skew on both branches; windows of different max|k|, among
+        # them verify's and the whole of an N = 1000 grid
+        for alpha, theta in ((2.0, 0.0), (1.001, 0.0), (0.999, 0.999), (1.6, -0.4), (0.7, -0.7)):
+            p = validate_params(alpha, theta)
+            for k_min, k_max in ((-50, 50), (0, 10), (-999, 999)):
+                table = weight_table(p, k_min, k_max)
+                pointwise = np.array([weight(k, p) for k in range(k_min, k_max + 1)])
+                assert np.array_equal(pointwise.view(np.int64), table.weights.view(np.int64))
 
     def test_table_window_must_contain_zero(self):
         with pytest.raises(ValueError):
@@ -183,7 +191,7 @@ class TestApply:
         ks = np.arange(-m, m + 1)
         params = validate_params(1.5, 0.0)
         grid = build_grid(0.0, 1.0, n)
-        cfg = SchemeConfig(params=params, k_alpha=1.0, dt=grid.h**1.5)
+        cfg, dt = SchemeConfig(params=params, k_alpha=1.0), grid.h**1.5
         tails = TailSums(params)
         for reach in range(1, m + 1):
             w = np.where(np.abs(ks) <= reach, rng.uniform(0.5, 1.5, ks.size), 0.0)
@@ -192,8 +200,8 @@ class TestApply:
             elif side == "right":
                 w[ks < 0] = 0.0
             table = WeightTable(params, -m, m, w)
-            got = step_plan(cfg, table, tails, n, grid.h).advance(u, 0)
-            expected = np.linalg.solve(*assemble_system(FieldState(grid, u), cfg, table, tails))
+            got = step_plan(cfg, dt, table, tails, n, grid.h).advance(u, 0)
+            expected = np.linalg.solve(*assemble_system(FieldState(grid, u), cfg, dt, table, tails))
             dense = table.application_matrix(n)
             tol = 1e-13 * np.max(np.abs(dense)) * np.max(np.abs(u)) * n
             assert np.max(np.abs(got - expected)) <= tol
@@ -206,19 +214,19 @@ class TestApply:
         tails = TailSums(params)
         assert table._stencil.tolist() == [1.0, -2.0, 1.0]
         grid = build_grid(0.0, 100.0, 100)  # h = 1, so r = dt = 1
-        cfg = SchemeConfig(params=params, k_alpha=1.0, dt=1.0)
+        cfg = SchemeConfig(params=params, k_alpha=1.0)
         u = np.arange(101.0) ** 2
-        got = step_plan(cfg, table, tails, 100, grid.h).advance(u, 0)
+        got = step_plan(cfg, 1.0, table, tails, 100, grid.h).advance(u, 0)
         assert (got - u)[1:-1].tolist() == [2.0] * 99
         assert rf_apply_bounded(FieldState(grid, u), 0.0, 0.0, table, tails).tolist() == [2.0] * 99
 
     def test_window_too_small(self):
         p = validate_params(0.5, 0.0)
-        cfg = SchemeConfig(params=p, k_alpha=1.0, dt=1e-3)
+        cfg = SchemeConfig(params=p, k_alpha=1.0)
         for k_min, k_max in ((-3, 3), (-4, 3), (-3, 4)):
             table = weight_table(p, k_min, k_max)
             with pytest.raises(WindowTooSmall):
-                step_plan(cfg, table, TailSums(p), 5, 0.2)  # n = 5 needs [-4, 4]
+                step_plan(cfg, 1e-3, table, TailSums(p), 5, 0.2)  # n = 5 needs [-4, 4]
             with pytest.raises(WindowTooSmall):
                 table.application_matrix(5)
 

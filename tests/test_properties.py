@@ -9,8 +9,6 @@ allow a rounding error of 8 ulps of the largest weight.  The examples are
 drawn deterministically so that every run checks the same cases.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,7 +31,7 @@ from rieszfd import (
     weight_table,
 )
 from rieszfd.grid import sample_initial
-from rieszfd.kernel import DEFAULT_ALPHA_ONE_GUARD
+from rieszfd.kernel import ALPHA_ONE_GUARD
 from rieszfd.linalg import _STRANG_MARGIN, _strang_eigenvalues, lu_factor, lu_solve
 from rieszfd.schemes import assemble_system, step_plan
 
@@ -42,10 +40,10 @@ _ALPHAS = st.one_of(
     st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
     st.builds(
         lambda d, sign: 1.0 + sign * d,
-        st.floats(DEFAULT_ALPHA_ONE_GUARD, 1e-2),
+        st.floats(ALPHA_ONE_GUARD, 1e-2),
         st.sampled_from((-1.0, 1.0)),
     ),
-).filter(lambda a: abs(a - 1.0) >= DEFAULT_ALPHA_ONE_GUARD)
+).filter(lambda a: abs(a - 1.0) >= ALPHA_ONE_GUARD)
 # skew as a share of its bound min(alpha, 2 - alpha); +-1 is one-sided
 _SHARES = st.one_of(st.sampled_from((-1.0, 0.0, 1.0)), st.floats(-1.0, 1.0))
 
@@ -183,11 +181,12 @@ def test_update_coefficients_sum_to_one(case):
     (alpha, theta), n, extra = case
     params = validate_params(alpha, theta)
     grid = build_grid(0.0, 1.0, n)
-    cfg = SchemeConfig(params=params, k_alpha=1.0, dt=0.9 * max_stable_dt(params, 1.0, grid.h))
+    dt = 0.9 * max_stable_dt(params, 1.0, grid.h)
+    cfg = SchemeConfig(params=params, k_alpha=1.0)
     table = weight_table(params, -(n - 1) - extra, n - 1 + extra)
     tails = TailSums(params)
-    plan = step_plan(cfg, table, tails, n, grid.h)
-    r = cfg.dt / grid.h**alpha
+    plan = step_plan(cfg, dt, table, tails, n, grid.h)
+    r = dt / grid.h**alpha
     on_nodes = np.correlate(np.ones(n + 1), plan.stencil, plan.mode)[1:-1]
     js = np.arange(1, n)
     total = on_nodes + r * (tails.left(js) + tails.right(n - js))
@@ -276,15 +275,15 @@ def _check_against_the_dense_solve(params, sigma, grid, dt, bc_left, bc_right, f
     # where r <= 1, within 1e-12 cond(T) beyond.  The weight table reaches
     # ``extra`` offsets past the N-1 the grid needs
     n = grid.n_cells
-    cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt, sigma=sigma,
+    cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=sigma,
                        bc_left=bc_left, bc_right=bc_right)
     table = weight_table(params, -(n - 1) - extra, n - 1 + extra)
     tails = TailSums(params)
     values = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
     state = FieldState(grid=grid, values=values, time=dt * f, step_index=f)
-    matrix, rhs = assemble_system(state, cfg, table, tails)
+    matrix, rhs = assemble_system(state, cfg, dt, table, tails)
     expected = lu_solve(lu_factor(matrix), rhs)
-    got = implicit_step(state, cfg, table, tails).values
+    got = implicit_step(state, step_plan(cfg, dt, table, tails, n, grid.h)).values
     r = dt / grid.h**params.alpha
     gate = 1e-12 * (1.0 if r <= 1.0 else np.linalg.cond(matrix[1:-1, 1:-1]))
     assert got[0] == rhs[0] and got[-1] == rhs[-1]
@@ -303,8 +302,8 @@ def runs(draw):
 @given(runs())
 def test_run_equals_stepping_by_hand(case):
     # run advances one plan from one recorded step to the next on bare
-    # arrays, implicit_step builds a plan for each step: every recorded
-    # state agrees bit for bit
+    # arrays, by hand implicit_step takes a fresh plan for each step: every
+    # recorded state agrees bit for bit
     (alpha, theta), sigma, n, steps = case
     params = validate_params(alpha, theta)
     grid = build_grid(0.0, 1.0, n)
@@ -318,15 +317,14 @@ def test_run_equals_stepping_by_hand(case):
     series = run(SimulationConfig(grid=grid, scheme=scheme, initial=initial, t_end=steps * dt,
                                   snapshot_times=(dt,), dt_policy=DtPolicy.fixed(dt)))
     assert series.n_steps == steps
-    cfg = dataclasses.replace(scheme, dt=dt)
     table = weight_table(params, -(n - 1), n - 1)
     tails = TailSums(params)
     by_hand = [sample_initial(initial, grid)]
     for _ in range(steps):
-        by_hand.append(implicit_step(by_hand[-1], cfg, table, tails))
+        by_hand.append(implicit_step(by_hand[-1], step_plan(scheme, dt, table, tails, n, grid.h)))
     for snap in series.snapshots:
         ref = by_hand[snap.step_index]
         assert snap.time == ref.time and np.array_equal(snap.values, ref.values)
     # steps=k in one advance call against k single calls
-    plan = step_plan(cfg, table, tails, n, grid.h)
+    plan = step_plan(scheme, dt, table, tails, n, grid.h)
     assert np.array_equal(plan.advance(by_hand[0].values, 0, steps), by_hand[-1].values)

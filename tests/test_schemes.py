@@ -35,41 +35,41 @@ def make_setup(params, n_cells=16, left=0.0, right=1.0, k_alpha=1.0, dt=None, si
     if dt is None:
         dt = 0.5 * max_stable_dt(params, k_alpha, grid.h)
     cfg = SchemeConfig(
-        params=params, k_alpha=k_alpha, dt=dt, sigma=sigma,
+        params=params, k_alpha=k_alpha, sigma=sigma,
         bc_left=BoundarySpec.constant(gl), bc_right=BoundarySpec.constant(gr),
     )
     table = weight_table(params, -(n_cells - 1), n_cells - 1)
     tails = TailSums(params)
-    return grid, cfg, table, tails
+    return grid, cfg, table, tails, step_plan(cfg, dt, table, tails, n_cells, grid.h)
 
 
 class TestPCoefficient:
     def test_heat_limit_quarter_step(self):
         params = validate_params(2.0, 0.0)
         h = 0.1
-        cfg = SchemeConfig(params=params, k_alpha=1.0, dt=h * h / 4.0)
-        assert p_coefficient(0, cfg, h) == pytest.approx(0.5, abs=1e-15)
-        assert p_coefficient(1, cfg, h) == pytest.approx(0.25, abs=1e-15)
-        assert p_coefficient(-1, cfg, h) == pytest.approx(0.25, abs=1e-15)
-        assert p_coefficient(2, cfg, h) == 0.0
-        assert p_coefficient(-5, cfg, h) == 0.0
+        cfg, dt = SchemeConfig(params=params, k_alpha=1.0), h * h / 4.0
+        assert p_coefficient(0, cfg, dt, h) == pytest.approx(0.5, abs=1e-15)
+        assert p_coefficient(1, cfg, dt, h) == pytest.approx(0.25, abs=1e-15)
+        assert p_coefficient(-1, cfg, dt, h) == pytest.approx(0.25, abs=1e-15)
+        assert p_coefficient(2, cfg, dt, h) == 0.0
+        assert p_coefficient(-5, cfg, dt, h) == 0.0
 
     def test_vanishing_step_limit(self):
         params = validate_params(0.7, 0.2)
-        cfg = SchemeConfig(params=params, k_alpha=1.0, dt=1e-13)
-        assert abs(p_coefficient(0, cfg, 0.5) - 1.0) <= 1e-11
-        assert abs(p_coefficient(3, cfg, 0.5)) <= 1e-11
+        cfg = SchemeConfig(params=params, k_alpha=1.0)
+        assert abs(p_coefficient(0, cfg, 1e-13, 0.5) - 1.0) <= 1e-11
+        assert abs(p_coefficient(3, cfg, 1e-13, 0.5)) <= 1e-11
 
     def test_windowed_sum_identity(self):
         for params in sample_params(40, seed=21):
             h = 0.5
-            cfg = SchemeConfig(params=params, k_alpha=2.0, dt=0.01)
+            cfg, dt = SchemeConfig(params=params, k_alpha=2.0), 0.01
             tails = TailSums(params)
-            r = cfg.k_alpha * cfg.dt / h**params.alpha
+            r = cfg.k_alpha * dt / h**params.alpha
             for m in (1, 10, 50):
-                total = p_coefficient(0, cfg, h)
+                total = p_coefficient(0, cfg, dt, h)
                 total += sum(
-                    p_coefficient(k, cfg, h) + p_coefficient(-k, cfg, h)
+                    p_coefficient(k, cfg, dt, h) + p_coefficient(-k, cfg, dt, h)
                     for k in range(1, m + 1)
                 )
                 total += r * (tails.left(m) + tails.right(m))
@@ -106,14 +106,14 @@ class TestStabilityBound:
 class TestApplyBounded:
     def test_annihilates_constants(self):
         for params in sample_params(15, seed=24):
-            grid, cfg, table, tails = make_setup(params, n_cells=24)
+            grid, cfg, table, tails, _ = make_setup(params, n_cells=24)
             state = FieldState(grid=grid, values=np.full(25, 3.7))
             out = rf_apply_bounded(state, 3.7, 3.7, table, tails)
             assert np.max(np.abs(out)) <= 1e-10
 
     def test_alpha_two_is_second_difference(self, rng):
         params = validate_params(2.0, 0.0)
-        grid, cfg, table, tails = make_setup(params, n_cells=12)
+        grid, cfg, table, tails, _ = make_setup(params, n_cells=12)
         vals = rng.uniform(-1, 1, 13)
         gl, gr = 0.4, -0.3
         out = rf_apply_bounded(FieldState(grid=grid, values=vals), gl, gr, table, tails)
@@ -125,7 +125,7 @@ class TestApplyBounded:
 
     def test_linear_field_alpha_two(self):
         params = validate_params(2.0, 0.0)
-        grid, cfg, table, tails = make_setup(params, n_cells=20)
+        grid, cfg, table, tails, _ = make_setup(params, n_cells=20)
         xs = grid.nodes()
         out = rf_apply_bounded(FieldState(grid=grid, values=xs), xs[0], xs[-1], table, tails)
         assert np.max(np.abs(out)) <= 1e-10
@@ -143,22 +143,22 @@ class TestApplyBounded:
 class TestExplicitStep:
     def test_zero_is_fixed_point(self):
         params = validate_params(1.3, -0.2)
-        grid, cfg, table, tails = make_setup(params)
+        grid, cfg, table, tails, plan = make_setup(params)
         state = FieldState(grid=grid, values=np.zeros(17))
-        new = implicit_step(state, cfg, table, tails)
+        new = implicit_step(state, plan)
         assert np.array_equal(new.values, np.zeros(17))
-        assert new.step_index == 1 and new.time == cfg.dt
+        assert new.step_index == 1 and new.time == plan.dt
 
     def test_heat_limit_update_form(self, rng):
         params = validate_params(2.0, 0.0)
         grid = build_grid(0.0, 1.0, 10)
         dt = grid.h**2 / 4.0
-        cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt,
+        cfg = SchemeConfig(params=params, k_alpha=1.0,
                            bc_left=BoundarySpec.constant(1.0), bc_right=BoundarySpec.constant(2.0))
         table = weight_table(params, -9, 9)
-        tails = TailSums(params)
+        plan = step_plan(cfg, dt, table, TailSums(params), 10, grid.h)
         vals = rng.uniform(0, 1, 11)
-        new = implicit_step(FieldState(grid=grid, values=vals), cfg, table, tails)
+        new = implicit_step(FieldState(grid=grid, values=vals), plan)
         for i in range(1, 10):
             expected = (vals[i - 1] + 2 * vals[i] + vals[i + 1]) / 4.0
             assert new.values[i] == pytest.approx(expected, abs=1e-13)
@@ -168,10 +168,10 @@ class TestExplicitStep:
         # spike at node c: interior rows collect p_m for m in [1-c, N-1-c],
         # so one step loses exactly the two tails beyond that window
         params = validate_params(1.5, 0.0)
-        grid, cfg, table, tails = make_setup(params, n_cells=400, left=-10.0, right=10.0)
+        grid, cfg, table, tails, plan = make_setup(params, n_cells=400, left=-10.0, right=10.0)
         state = sample_initial(InitialCondition.delta(), grid)
-        new = implicit_step(state, cfg, table, tails)
-        r = cfg.k_alpha * cfg.dt / grid.h**params.alpha
+        new = implicit_step(state, plan)
+        r = cfg.k_alpha * plan.dt / grid.h**params.alpha
         c = grid.n_cells // 2
         leak = r * (tails.left(c - 1) + tails.right(grid.n_cells - 1 - c))
         assert abs(mass(state) - mass(new) - leak * mass(state)) <= 1e-12
@@ -181,10 +181,9 @@ class TestExplicitStep:
         params = validate_params(0.5, 0.0)
         grid = build_grid(0.0, 1.0, 16)
         dt = 1.01 * max_stable_dt(params, 1.0, grid.h)
-
-        def config(scheme):
-            return SimulationConfig(grid=grid, scheme=scheme, initial=InitialCondition.delta(),
-                                    t_end=3 * dt, dt_policy=DtPolicy.fixed(dt))
+        scheme = SchemeConfig(params=params, k_alpha=1.0)
+        config = SimulationConfig(grid=grid, scheme=scheme, initial=InitialCondition.delta(),
+                                  t_end=3 * dt, dt_policy=DtPolicy.fixed(dt))
 
         def no_table(*args):
             raise AssertionError("weight table built for a refused run")
@@ -192,16 +191,21 @@ class TestExplicitStep:
         with monkeypatch.context() as patched:
             patched.setattr(rieszfd.simulate, "weight_table", no_table)
             with pytest.raises(UnstableTimestep):
-                run(config(SchemeConfig(params=params, k_alpha=1.0)))
-        forced = SchemeConfig(params=params, k_alpha=1.0, allow_unstable_dt=True)
-        assert run(config(forced)).n_steps == 3
+                run(config)
+        # the plan itself never checks the bound: it steps past it
+        table = weight_table(params, -15, 15)
+        plan = step_plan(scheme, dt, table, TailSums(params), 16, grid.h)
+        state = sample_initial(InitialCondition.delta(), grid)
+        for _ in range(3):
+            state = implicit_step(state, plan)
+        assert state.step_index == 3 and np.all(np.isfinite(state.values))
 
     def test_maximum_principle(self, rng):
         for params in sample_params(15, seed=25):
             gl, gr = rng.uniform(-2, 2, 2)
-            grid, cfg, table, tails = make_setup(params, n_cells=20, gl=gl, gr=gr)
+            grid, cfg, table, tails, plan = make_setup(params, n_cells=20, gl=gl, gr=gr)
             vals = rng.uniform(-2, 2, 21)
-            new = implicit_step(FieldState(grid=grid, values=vals), cfg, table, tails)
+            new = implicit_step(FieldState(grid=grid, values=vals), plan)
             lo = min(vals.min(), gl, gr) - 1e-12
             hi = max(vals.max(), gl, gr) + 1e-12
             assert np.all(new.values >= lo) and np.all(new.values <= hi)
@@ -209,11 +213,11 @@ class TestExplicitStep:
     def test_long_time_decay(self):
         for alpha, theta in ((2.0, 0.0), (1.5, 0.3), (0.7, -0.2)):
             params = validate_params(alpha, theta)
-            grid, cfg, table, tails = make_setup(params, n_cells=40)
+            grid, cfg, table, tails, plan = make_setup(params, n_cells=40)
             state = sample_initial(InitialCondition.box(1.0, 0.4, 0.6), grid)
             previous = np.max(np.abs(state.values))
             for _ in range(25):
-                state = implicit_step(state, cfg, table, tails)
+                state = implicit_step(state, plan)
                 current = np.max(np.abs(state.values))
                 assert current <= previous + 1e-14
                 previous = current
@@ -223,12 +227,12 @@ class TestExplicitStep:
         params = validate_params(0.999, 0.999)
         grid = build_grid(0.0, 1.0, 50)
         dt = 0.5 * max_stable_dt(params, 1.0, grid.h)
-        cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt)
+        cfg = SchemeConfig(params=params, k_alpha=1.0)
         nu = cfg.k_alpha * dt / grid.h**params.alpha
-        assert abs(p_coefficient(0, cfg, grid.h) - (1.0 - nu)) <= 1e-2
-        assert abs(p_coefficient(1, cfg, grid.h) - nu) <= 1e-2
+        assert abs(p_coefficient(0, cfg, dt, grid.h) - (1.0 - nu)) <= 1e-2
+        assert abs(p_coefficient(1, cfg, dt, grid.h) - nu) <= 1e-2
         others = sum(
-            abs(p_coefficient(k, cfg, grid.h)) for k in range(-49, 50) if k not in (0, 1)
+            abs(p_coefficient(k, cfg, dt, grid.h)) for k in range(-49, 50) if k not in (0, 1)
         )
         assert others <= 1e-2
 
@@ -236,19 +240,19 @@ class TestExplicitStep:
 class TestAssembleSystem:
     def test_sigma_one_interior_is_identity(self):
         params = validate_params(0.8, 0.1)
-        grid, cfg, table, tails = make_setup(params, n_cells=10, sigma=1.0)
+        grid, cfg, table, tails, plan = make_setup(params, n_cells=10, sigma=1.0)
         state = FieldState(grid=grid, values=np.arange(11.0))
-        matrix, _ = assemble_system(state, cfg, table, tails)
+        matrix, _ = assemble_system(state, cfg, plan.dt, table, tails)
         assert np.array_equal(matrix, np.eye(11))
 
     def test_sigma_zero_heat_limit_tridiagonal(self):
         params = validate_params(2.0, 0.0)
         grid = build_grid(0.0, 1.0, 8)
         dt = 0.01
-        cfg = SchemeConfig(params=params, k_alpha=1.0, dt=dt, sigma=0.0)
+        cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=0.0)
         table = weight_table(params, -7, 7)
         state = FieldState(grid=grid, values=np.zeros(9))
-        a, _ = assemble_system(state, cfg, table, TailSums(params))
+        a, _ = assemble_system(state, cfg, dt, table, TailSums(params))
         lam = dt / grid.h**2
         for i in range(1, 8):
             assert a[i, i] == pytest.approx(1.0 + 2.0 * lam, rel=1e-15)
@@ -263,13 +267,13 @@ class TestAssembleSystem:
         grid = build_grid(0.0, 1.0, n)
         dt = 0.02
         gl, gr = 0.7, -0.4
-        cfg = SchemeConfig(params=params, k_alpha=1.3, dt=dt, sigma=0.5,
+        cfg = SchemeConfig(params=params, k_alpha=1.3, sigma=0.5,
                            bc_left=BoundarySpec.constant(gl), bc_right=BoundarySpec.constant(gr))
         table = weight_table(params, -(n - 1), n - 1)
         tails = TailSums(params)
         vals = rng.uniform(-1, 1, n + 1)
         state = FieldState(grid=grid, values=vals)
-        matrix, rhs = assemble_system(state, cfg, table, tails)
+        matrix, rhs = assemble_system(state, cfg, dt, table, tails)
 
         r = cfg.k_alpha * dt / grid.h**params.alpha
         expected = np.zeros((n + 1, n + 1))
@@ -300,41 +304,57 @@ class TestImplicitStep:
         for trial in range(10):
             params = sample_params(1, seed=300 + trial)[0]
             gl, gr = rng.uniform(-1, 1, 2)
-            grid, cfg, table, tails = make_setup(params, n_cells=n, gl=gl, gr=gr, sigma=1.0)
+            grid, cfg, table, tails, plan = make_setup(params, n_cells=n, gl=gl, gr=gr, sigma=1.0)
             vals = rng.uniform(-1, 1, n + 1)
-            new = implicit_step(FieldState(grid=grid, values=vals), cfg, table, tails)
+            new = implicit_step(FieldState(grid=grid, values=vals), plan)
             expected = np.empty(n + 1)
             expected[0], expected[n] = gl, gr
             for j in range(1, n):
                 window = sum(vals[j + k] * weight(k, params) for k in range(-j, n - j + 1))
                 op = window + gl * tails.left(j) + gr * tails.right(n - j)
-                expected[j] = vals[j] + cfg.dt * cfg.k_alpha * op / grid.h**params.alpha
+                expected[j] = vals[j] + plan.dt * cfg.k_alpha * op / grid.h**params.alpha
             assert np.max(np.abs(new.values - expected)) <= 1e-12
 
     def test_zero_field_zero_boundaries(self):
         for sigma in (0.0, 0.5, 1.0):
             params = validate_params(1.7, 0.1)
-            grid, cfg, table, tails = make_setup(params, n_cells=12, sigma=sigma)
+            grid, cfg, table, tails, plan = make_setup(params, n_cells=12, sigma=sigma)
             state = FieldState(grid=grid, values=np.zeros(13))
-            new = implicit_step(state, cfg, table, tails)
+            new = implicit_step(state, plan)
             assert np.max(np.abs(new.values)) == 0.0
 
     def test_fully_implicit_constant_fixed_point(self):
         params = validate_params(0.6, -0.3)
-        grid, cfg, table, tails = make_setup(params, n_cells=18, sigma=0.0, gl=2.5, gr=2.5)
+        grid, cfg, table, tails, plan = make_setup(params, n_cells=18, sigma=0.0, gl=2.5, gr=2.5)
         state = FieldState(grid=grid, values=np.full(19, 2.5))
         for _ in range(20):
-            state = implicit_step(state, cfg, table, tails)
+            state = implicit_step(state, plan)
         assert np.max(np.abs(state.values - 2.5)) <= 1e-12
 
     def test_reused_factorization_matches_fresh(self, rng):
         params = validate_params(1.4, 0.2)
-        grid, cfg, table, tails = make_setup(params, n_cells=12, sigma=0.3, gl=1.0)
+        grid, cfg, table, tails, plan = make_setup(params, n_cells=12, sigma=0.3, gl=1.0)
         state = FieldState(grid=grid, values=rng.uniform(0, 1, 13))
-        plan = step_plan(cfg, table, tails, grid.n_cells, grid.h)
-        a = implicit_step(state, cfg, table, tails)
-        b = implicit_step(state, cfg, table, tails, plan=plan)
+
+        def fresh():
+            return step_plan(cfg, plan.dt, table, tails, grid.n_cells, grid.h)
+
+        a = implicit_step(implicit_step(state, fresh()), fresh())
+        b = implicit_step(implicit_step(state, plan), plan)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.inf, np.nan])
+    def test_refuses_a_nonpositive_or_nonfinite_dt(self, dt):
+        params = validate_params(1.5, 0.3)
+        grid = build_grid(0.0, 1.0, 8)
+        table, tails = weight_table(params, -7, 7), TailSums(params)
+        state = FieldState(grid=grid, values=np.ones(9))
+        for sigma in (0.0, 0.5, 1.0):
+            cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=sigma)
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                step_plan(cfg, dt, table, tails, 8, grid.h)
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                assemble_system(state, cfg, dt, table, tails)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
     def test_node_aligned_step_at_every_reach(self, n):
@@ -355,14 +375,15 @@ class TestImplicitStep:
             table = WeightTable(params, -m, m, w)
             for sigma in (0.0, 0.5, 1.0):
                 # r = 0.01 keeps T = I + (sigma - 1) r W diagonally dominant
-                cfg = SchemeConfig(params=params, k_alpha=1.0, dt=0.01 * grid.h**1.5,
+                dt = 0.01 * grid.h**1.5
+                cfg = SchemeConfig(params=params, k_alpha=1.0,
                                    sigma=sigma, bc_left=BoundarySpec.constant(0.7),
                                    bc_right=BoundarySpec.constant(-0.4))
-                plan = step_plan(cfg, table, tails, n, grid.h)
+                plan = step_plan(cfg, dt, table, tails, n, grid.h)
                 modes.add(plan.mode)
                 got = plan.advance(values, 0)
                 state = FieldState(grid=grid, values=values)
-                expected = np.linalg.solve(*assemble_system(state, cfg, table, tails))
+                expected = np.linalg.solve(*assemble_system(state, cfg, dt, table, tails))
                 assert got[0] == 0.7 and got[-1] == -0.4
                 assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert modes == ({"", "same"} if n == 2 else {"", "same", "valid"})
@@ -372,11 +393,10 @@ class TestImplicitStep:
         params = validate_params(1.5, 0.0)
         spec = BoundarySpec.time_table([(0.0, 0.0), (1.0, 1.0)])
         grid = build_grid(0.0, 1.0, 8)
-        cfg = SchemeConfig(params=params, k_alpha=1.0, dt=0.1, sigma=0.0,
-                           bc_left=spec, bc_right=spec)
+        cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=0.0, bc_left=spec, bc_right=spec)
         table = weight_table(params, -7, 7)
         state = FieldState(grid=grid, values=np.zeros(9))
-        new = implicit_step(state, cfg, table, TailSums(params))
+        new = implicit_step(state, step_plan(cfg, 0.1, table, TailSums(params), 8, grid.h))
         assert new.values[0] == pytest.approx(0.05, abs=1e-15)
         assert new.values[-1] == pytest.approx(0.05, abs=1e-15)
         assert new.values[0] == boundary_at_half_step(spec, 0.1, 0)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -60,13 +59,6 @@ class TestConfig:
             small_config(snapshots=(-0.1,))
         with pytest.raises(ConfigInvalid):
             small_config(snapshots=(math.nan,))
-
-    def test_scheme_dt_is_refused(self):
-        # a run takes dt from the policy alone: a scheme dt would be ignored
-        base = small_config(n_cells=10)
-        scheme = dataclasses.replace(base.scheme, dt=0.5)
-        with pytest.raises(ConfigInvalid, match="dt_policy"):
-            dataclasses.replace(base, scheme=scheme)
 
     def test_policy_validation(self):
         with pytest.raises(ConfigInvalid):
@@ -239,7 +231,7 @@ class TestRun:
         dt, n_steps = resolve_dt(config)
         grid, params = config.grid, config.scheme.params
         plan = step_plan(
-            dataclasses.replace(config.scheme, dt=dt),
+            config.scheme, dt,
             weight_table(params, -(grid.n_cells - 1), grid.n_cells - 1),
             TailSums(params), grid.n_cells, grid.h,
         )
