@@ -43,7 +43,7 @@ class UnstableTimestep(ValidationError):
 
 
 class DimensionMismatch(ValidationError):
-    """Array lengths inconsistent with the linear system."""
+    """Array lengths or grids inconsistent with the linear system."""
 
 
 class NonpositiveTime(ValidationError):

@@ -7,10 +7,10 @@ alpha != 1) and skewness ``theta`` is discretized on a uniform grid as
 
 with dimensionless stencil weights ``w_k`` that decay like ``|k|**(-1-alpha)``.
 This module provides the parameter validation, the left/right trigonometric
-splitting coefficients c_L and c_R, the weights themselves, the stencil
-the step correlates a grid state with, and closed-form sums of all
-weights beyond a cutoff index (used to fold Dirichlet boundary
-values into interior nodes on a bounded domain).
+splitting coefficients c_L and c_R, the weights themselves with their
+dense application matrix (the reference the step is tested against), and
+closed-form sums of all weights beyond a cutoff index (used to fold
+Dirichlet boundary values into interior nodes on a bounded domain).
 
 Every weight follows one law per branch.  With L(q) = sum_d coeff_d *
 (q + d)**b, powers of nonpositive bases taken as 0, and
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -193,11 +192,10 @@ def weight(k: int, params: FractionalParams) -> float:
 class WeightTable:
     """Stencil weights over the index window [k_min, k_max].
 
-    ``weights[j]`` holds w_{k_min + j}.  ``_node_stencil`` is the stencil
-    of reach K (1 at alpha = 2) that the step correlates a state with, in
-    O(N) memory and O(N * K) work.  ``application_matrix`` builds the
+    ``weights[j]`` holds w_{k_min + j}.  ``application_matrix`` builds the
     operator as a fresh dense matrix on each call, straight from the
-    weights: the dense reference of the tests and ``verify``.
+    weights: the dense reference of the tests and ``verify``.  The step
+    reads no table: ``schemes.step_plan`` tabulates its own weights.
     """
 
     params: FractionalParams
@@ -210,41 +208,19 @@ class WeightTable:
             raise WindowTooSmall(f"k={k} outside table window [{self.k_min}, {self.k_max}]")
         return float(self.weights[k - self.k_min])
 
-    def _require_window(self, n: int) -> None:
+    def application_matrix(self, n_cells: int) -> np.ndarray:
+        """(N-1, N+1) matrix W with W[i-1, j] = w_{j-i} for interior rows i.
+
+        Row i of the product W @ u is the windowed stencil sum
+        sum_{k=-i}^{N-i} u_{i+k} w_k.  Raises WindowTooSmall unless the
+        window covers [-(N-1), N-1].
+        """
+        n = int(n_cells)
         if self.k_min > -(n - 1) or self.k_max < n - 1:
             raise WindowTooSmall(
                 f"table window [{self.k_min}, {self.k_max}] does not cover "
                 f"[{-(n - 1)}, {n - 1}] needed for n_cells={n}"
             )
-
-    @cached_property
-    def _stencil(self) -> np.ndarray:
-        """w_-K, ..., w_K for the reach K: the largest |k| of a nonzero
-        weight in the symmetric part of the window, and at least 1."""
-        m = min(-self.k_min, self.k_max)
-        centred = self.weights[-self.k_min - m : -self.k_min + m + 1]
-        offsets = np.abs(np.arange(-m, m + 1))[centred != 0.0]
-        reach = max(1, int(offsets.max(initial=0)))
-        return centred[m - reach : m + reach + 1]
-
-    def _node_stencil(self, n: int) -> tuple[np.ndarray, str]:
-        """The stencil trimmed to r = min(K, N-1) for an N-cell grid and the
-        ``np.correlate`` mode that gives one output per node: "same" while
-        2r+1 <= N+1, else "valid" on the stencil zero-extended to 2N+1."""
-        reach = len(self._stencil) // 2
-        r = min(reach, n - 1)
-        stencil = self._stencil[reach - r : reach + r + 1]
-        return (stencil, "same") if 2 * r + 1 <= n + 1 else (np.pad(stencil, n - r), "valid")
-
-    def application_matrix(self, n_cells: int) -> np.ndarray:
-        """(N-1, N+1) matrix W with W[i-1, j] = w_{j-i} for interior rows i.
-
-        Row i of the product W @ u is the windowed stencil sum
-        sum_{k=-i}^{N-i} u_{i+k} w_k.  Requires the window to cover
-        [-(N-1), N-1].
-        """
-        n = int(n_cells)
-        self._require_window(n)
         offsets = np.arange(n + 1)[None, :] - np.arange(1, n)[:, None] - self.k_min
         return self.weights[offsets]
 

@@ -8,13 +8,13 @@ boundary value).  ``sigma`` blends the time levels: 1 is fully explicit,
 Boundary data is evaluated at half steps t = dt*(f + 1/2).
 
 Every coefficient of a step is fixed for a run, so ``step_plan`` builds
-them once, in O(N) memory, and below sigma = 1 factors the interior
-Toeplitz system; a step is then one correlation that writes the new
-state node by node, an axpy per nonzero boundary value and an O(N log N)
-solve.  ``rf_apply_bounded`` and ``assemble_system`` are the dense
-reference the tests and ``verify`` compare with: they build the operator
-from ``WeightTable.application_matrix`` and share no stencil code with
-the step.
+them once from the grid, in O(N) memory, and below sigma = 1 factors the
+interior Toeplitz system; a step is then one correlation that writes the
+new state node by node, an axpy per nonzero boundary value and an
+O(N log N) solve.  ``rf_apply_bounded`` and ``assemble_system`` are the
+dense reference the tests and ``verify`` compare with: they build the
+operator from ``WeightTable.application_matrix`` and share no stencil
+code with the step.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid
-from .grid import BoundarySpec, FieldState, boundary_at_half_step
-from .kernel import FractionalParams, TailSums, WeightTable, weight
+from .errors import ConfigInvalid, DimensionMismatch
+from .grid import BoundarySpec, FieldState, Grid1D, boundary_at_half_step
+from .kernel import FractionalParams, TailSums, WeightTable, weight, weight_table
 from .linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
 
 
@@ -103,9 +103,22 @@ def _implicit_ratio(cfg: SchemeConfig, dt: float, h: float) -> float:
     return (cfg.sigma - 1.0) * cfg.k_alpha * dt / h**cfg.params.alpha
 
 
+def _node_stencil(weights: np.ndarray) -> tuple[np.ndarray, str]:
+    """w_-r, ..., w_r from an N-cell grid's weights w_-(N-1), ..., w_(N-1),
+    r = min(K, N-1) for K the largest |k| of a nonzero weight and at least
+    1, and the ``np.correlate`` mode that gives one output per node: "same"
+    while 2r+1 <= N+1, else "valid" on the stencil zero-extended to 2N+1."""
+    n = len(weights) // 2 + 1
+    offsets = np.abs(np.arange(1 - n, n))[weights != 0.0]
+    reach = max(1, int(offsets.max(initial=0)))
+    r = min(reach, n - 1)
+    stencil = weights[n - 1 - r : n + r]
+    return (stencil, "same") if 2 * r + 1 <= n + 1 else (np.pad(stencil, n - r), "valid")
+
+
 @dataclass(frozen=True)
 class StepPlan:
-    """Every coefficient of a sigma-weighted step on an N-cell grid.
+    """Every coefficient of a sigma-weighted step on one grid.
 
     With r = K dt / h**alpha the step solves T C^{f+1} = P C^f + g_L left
     + g_R right on the interior nodes, T = I + (sigma - 1) r W and
@@ -118,6 +131,7 @@ class StepPlan:
     order as that many one-step calls.
     """
 
+    grid: Grid1D
     dt: float
     bc_left: BoundarySpec
     bc_right: BoundarySpec
@@ -130,7 +144,11 @@ class StepPlan:
     def advance(self, values: np.ndarray, f: int, steps: int = 1) -> np.ndarray:
         """The N+1 nodal values C^{f+steps} from C^f, as a new array
         (steps >= 1).  The boundary values of all the half steps are
-        evaluated at once; each step then takes the end nodes to its own."""
+        evaluated at once; each step then takes the end nodes to its own.
+        Raises DimensionMismatch unless ``values`` holds N+1 values."""
+        n = self.grid.n_cells
+        if len(values) != n + 1:
+            raise DimensionMismatch(f"a plan for {n} cells steps {n + 1} values, got {len(values)}")
         half_steps = np.arange(f, f + steps)
         g_lefts = boundary_at_half_step(self.bc_left, self.dt, half_steps).tolist()
         g_rights = boundary_at_half_step(self.bc_right, self.dt, half_steps).tolist()
@@ -150,25 +168,22 @@ class StepPlan:
         return values
 
 
-def step_plan(
-    cfg: SchemeConfig, dt: float, table: WeightTable, tails: TailSums, n_cells: int, h: float
-) -> StepPlan:
-    """Build the coefficients of a step of size dt once per run; O(N) memory.
+def step_plan(cfg: SchemeConfig, dt: float, grid: Grid1D) -> StepPlan:
+    """Build the coefficients of a step of size dt on ``grid`` once per run.
 
-    They are read from the weight table, which must cover [-(N-1), N-1].
-    The stencil's correlation mode is picked once, by
-    ``WeightTable._node_stencil``.  T is factored only below sigma = 1.
-    dt must be positive and finite (ValueError otherwise); it is not
-    compared with the explicit bound, so a plan may step past it.
+    Tabulates w_k over exactly the offsets the grid reads, [-(N-1), N-1],
+    and the interior tail sums, in O(N) memory; ``_node_stencil`` trims
+    the fused stencil.  T is factored only below sigma = 1.  dt must be
+    positive and finite (ValueError otherwise); it is not compared with
+    the explicit bound, so a plan may step past it.
     """
-    n = int(n_cells)
-    table._require_window(n)
+    n, h = grid.n_cells, grid.h
     ratio = _implicit_ratio(cfg, dt, h)
     r = cfg.k_alpha * dt / h**cfg.params.alpha
-    offsets = np.arange(n)
-    below = ratio * table.weights[-table.k_min - offsets]  # ratio * w_0, w_-1, ..., w_-(N-1)
-    above = ratio * table.weights[-table.k_min + offsets]  # ratio * w_0, w_1, ..., w_(N-1)
-    s_left, s_right = tails.interior_arrays(n)
+    weights = weight_table(cfg.params, -(n - 1), n - 1).weights
+    below = ratio * weights[n - 1 :: -1]  # ratio * w_0, w_-1, ..., w_-(N-1)
+    above = ratio * weights[n - 1 :]  # ratio * w_0, w_1, ..., w_(N-1)
+    s_left, s_right = TailSums(cfg.params).interior_arrays(n)
     left = r * s_left - below[1:]
     right = r * s_right[::-1] - above[:0:-1]  # s_R(N-i) and w_(N-i) for i = 1..N-1
     factorization = None
@@ -179,13 +194,13 @@ def step_plan(
         factorization = toeplitz_factor(first_col, first_row)
     stencil, mode = None, ""
     if cfg.sigma != 0.0:
-        stencil, mode = table._node_stencil(n)
+        stencil, mode = _node_stencil(weights)
         stencil = cfg.sigma * r * stencil
         stencil[len(stencil) // 2] += 1.0
         stencil.setflags(write=False)
     left.setflags(write=False)
     right.setflags(write=False)
-    return StepPlan(dt, cfg.bc_left, cfg.bc_right, stencil, mode, left, right, factorization)
+    return StepPlan(grid, dt, cfg.bc_left, cfg.bc_right, stencil, mode, left, right, factorization)
 
 
 def assemble_system(
@@ -220,12 +235,15 @@ def implicit_step(state: FieldState, plan: StepPlan) -> FieldState:
     """One sigma-weighted step of ``state`` by a ``step_plan``: solve
     A C^{f+1} = b.
 
-    The plan holds dt, both boundary specs and every coefficient, and is
-    built once for any number of steps.  At sigma = 1 A is the identity and
-    nothing is solved.  The boundary nodes take the prescribed values.  The
-    step does not compare dt with the explicit bound; ``run`` does that
-    once, when it resolves dt.
+    The plan holds its grid, dt, both boundary specs and every
+    coefficient, and is built once for any number of steps; a state on
+    another grid raises DimensionMismatch.  At sigma = 1 A is the identity
+    and nothing is solved.  The boundary nodes take the prescribed values.
+    The step does not compare dt with the explicit bound; ``run`` does
+    that once, when it resolves dt.
     """
+    if state.grid != plan.grid:
+        raise DimensionMismatch(f"a plan for {plan.grid} cannot step a state on {state.grid}")
     f = state.step_index
     values = plan.advance(state.values, f)
     return FieldState(grid=state.grid, values=values, time=plan.dt * (f + 1), step_index=f + 1)

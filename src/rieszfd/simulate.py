@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import ConfigInvalid, NoSuchSnapshot, UnstableTimestep
 from .grid import FieldState, Grid1D, InitialCondition, sample_initial
-from .kernel import TailSums, weight_table
 from .schemes import SchemeConfig, max_stable_dt, step_plan
 
 # snapshot times are aligned to integer step multiples when their ratios to
@@ -145,18 +144,14 @@ def run(config: SimulationConfig) -> SnapshotSeries:
     Deterministic: identical configs produce bit-identical series, equal
     to stepping ``implicit_step`` by hand with a plan of the same dt.  An
     unstable explicit dt or a step count past the budget is refused before
-    anything is built.  The weight table, the tail sums and from them the
-    ``step_plan`` (for sigma < 1 with the factored interior Toeplitz
-    system) are built once.
-    The loop then advances bare arrays from one recorded step to the next,
-    in ``StepPlan.advance`` calls of up to ``_SEGMENT_STEPS`` steps, and
+    anything is built.  One ``step_plan`` of the run's grid (for sigma < 1
+    with the factored interior Toeplitz system) is built once.  The loop
+    then advances bare arrays from one recorded step to the next, in
+    ``StepPlan.advance`` calls of up to ``_SEGMENT_STEPS`` steps, and
     wraps only the recorded ones in a ``FieldState``.
     """
     dt, n_steps = resolve_dt(config)
     grid = config.grid
-    scheme = config.scheme
-    table = weight_table(scheme.params, -(grid.n_cells - 1), grid.n_cells - 1)
-    tails = TailSums(scheme.params)
 
     state = sample_initial(config.initial, grid)
     recorded = [state]
@@ -168,7 +163,7 @@ def run(config: SimulationConfig) -> SnapshotSeries:
         wanted[min(n_steps, max(1, round(t / dt)))] = None
     wanted[n_steps] = None
 
-    plan = step_plan(scheme, dt, table, tails, grid.n_cells, grid.h)
+    plan = step_plan(config.scheme, dt, grid)
     values, done = state.values, 0
     for f in sorted(wanted):
         while done < f:

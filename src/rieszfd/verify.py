@@ -187,7 +187,7 @@ def _check_implicit_solve() -> CheckResult:
         state = FieldState(grid=grid, values=np.cos(np.arange(n + 1.0)))
         matrix, rhs = assemble_system(state, cfg, dt, table, tails)
         expected = lu_solve(lu_factor(matrix), rhs)
-        plan = step_plan(cfg, dt, table, tails, n, grid.h)
+        plan = step_plan(cfg, dt, grid)
         got = implicit_step(state, plan).values
         diff = np.max(np.abs(got[1:-1] - expected[1:-1])) / np.max(np.abs(expected))
         worst = max(worst, diff)

@@ -120,8 +120,7 @@ def test_criterion_04_classical_heat_scheme_limit():
     grid = build_grid(-10.0, 10.0, 200)
     dt = 0.5 * max_stable_dt(params, 1.0, grid.h)
     cfg = SchemeConfig(params=params, k_alpha=1.0)
-    table = weight_table(params, -(grid.n_cells - 1), grid.n_cells - 1)
-    plan = step_plan(cfg, dt, table, TailSums(params), grid.n_cells, grid.h)
+    plan = step_plan(cfg, dt, grid)
     state = sample_initial(InitialCondition.delta(), grid)
     reference = state.values.copy()
     lam = cfg.k_alpha * dt / grid.h**2
@@ -184,8 +183,7 @@ def test_criterion_07_mass_conservation():
     grid = build_grid(-10.0, 10.0, 1000)
     dt = 0.9 * max_stable_dt(params, 1.0, grid.h)
     cfg = SchemeConfig(params=params, k_alpha=1.0)
-    table = weight_table(params, -(grid.n_cells - 1), grid.n_cells - 1)
-    plan = step_plan(cfg, dt, table, TailSums(params), grid.n_cells, grid.h)
+    plan = step_plan(cfg, dt, grid)
     state = sample_initial(InitialCondition.delta(), grid)
     m0 = mass(state)
     margin = grid.n_cells
@@ -227,11 +225,10 @@ def test_criterion_09_sigma_cross_checks():
             bc_left=BoundarySpec.constant(float(rng.uniform(-1, 1))),
             bc_right=BoundarySpec.constant(float(rng.uniform(-1, 1))),
         )
-        table = weight_table(params, -(grid.n_cells - 1), grid.n_cells - 1)
         tails = TailSums(params)
         n = grid.n_cells
         vals = rng.uniform(-1, 1, n + 1)
-        plan = step_plan(cfg, dt, table, tails, n, grid.h)
+        plan = step_plan(cfg, dt, grid)
         implicit = implicit_step(FieldState(grid=grid, values=vals), plan)
         # the explicit update written with its coefficients p_k and the tails
         r = cfg.k_alpha * dt / grid.h**params.alpha
@@ -249,9 +246,8 @@ def test_criterion_09_sigma_cross_checks():
         params=params, k_alpha=1.0, sigma=0.0,
         bc_left=BoundarySpec.constant(4.0), bc_right=BoundarySpec.constant(4.0),
     )
-    table = weight_table(params, -19, 19)
     state = FieldState(grid=grid, values=np.full(21, 4.0))
-    state = implicit_step(state, step_plan(cfg, 0.01, table, TailSums(params), 20, grid.h))
+    state = implicit_step(state, step_plan(cfg, 0.01, grid))
     fixed_point_drift = float(np.max(np.abs(state.values - 4.0)))
     report(
         "criterion 9, sigma cross-checks",

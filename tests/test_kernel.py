@@ -19,7 +19,7 @@ from rieszfd import (
 )
 from rieszfd.kernel import rf_coefficients
 from rieszfd.oracles import weight_oracle
-from rieszfd.schemes import assemble_system, rf_apply_bounded, step_plan
+from rieszfd.schemes import _node_stencil, rf_apply_bounded, step_plan
 from conftest import sample_params
 
 # frozen 6-decimal reference weights for theta = 0
@@ -179,56 +179,54 @@ class TestWeights:
 
 
 class TestApply:
-    # the explicit step (sigma = 1, r = 1) correlates with the table's
-    # stencil; the dense reference multiplies by application_matrix, which
-    # shares no code with it
+    # the step correlates with the stencil ``_node_stencil`` trims from the
+    # weights of the grid; the dense reference multiplies by
+    # application_matrix, which shares no code with it
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
     @pytest.mark.parametrize("side", ["both", "left", "right"])
     def test_every_reach_matches_the_dense_product(self, n, side):
         rng = np.random.default_rng(n)
         u = rng.standard_normal(n + 1)
-        m = n + 2  # the window reaches past the N-1 the grid needs
+        m = n + 2  # synthetic weights reach past the N-1 the grid reads
         ks = np.arange(-m, m + 1)
         params = validate_params(1.5, 0.0)
-        grid = build_grid(0.0, 1.0, n)
-        cfg, dt = SchemeConfig(params=params, k_alpha=1.0), grid.h**1.5
-        tails = TailSums(params)
         for reach in range(1, m + 1):
             w = np.where(np.abs(ks) <= reach, rng.uniform(0.5, 1.5, ks.size), 0.0)
             if side == "left":
                 w[ks > 0] = 0.0
             elif side == "right":
                 w[ks < 0] = 0.0
-            table = WeightTable(params, -m, m, w)
-            got = step_plan(cfg, dt, table, tails, n, grid.h).advance(u, 0)
-            expected = np.linalg.solve(*assemble_system(FieldState(grid, u), cfg, dt, table, tails))
-            dense = table.application_matrix(n)
+            stencil, mode = _node_stencil(w[m - (n - 1) : m + n])  # w_-(N-1)..w_(N-1)
+            got = np.correlate(u, stencil, mode)
+            dense = WeightTable(params, -m, m, w).application_matrix(n)
             tol = 1e-13 * np.max(np.abs(dense)) * np.max(np.abs(u)) * n
-            assert np.max(np.abs(got - expected)) <= tol
-            # the stencil is trimmed to the nonzero reach once per table
-            assert table._stencil.size == 2 * reach + 1
+            assert got.shape == (n + 1,)
+            assert np.max(np.abs(got[1:-1] - dense @ u)) <= tol
+            # trimmed to the nonzero reach on the grid, zero-extended only
+            # where "same" would not give one output per node
+            r = min(reach, n - 1)
+            assert mode == ("same" if 2 * r + 1 <= n + 1 else "valid")
+            assert stencil.size == (2 * r + 1 if mode == "same" else 2 * n + 1)
 
     def test_alpha_two_reaches_one_node(self):
         params = validate_params(2.0, 0.0)
         table = weight_table(params, -99, 99)
         tails = TailSums(params)
-        assert table._stencil.tolist() == [1.0, -2.0, 1.0]
         grid = build_grid(0.0, 100.0, 100)  # h = 1, so r = dt = 1
         cfg = SchemeConfig(params=params, k_alpha=1.0)
         u = np.arange(101.0) ** 2
-        got = step_plan(cfg, 1.0, table, tails, 100, grid.h).advance(u, 0)
+        plan = step_plan(cfg, 1.0, grid)
+        assert plan.mode == "same" and plan.stencil.tolist() == [1.0, -1.0, 1.0]
+        got = plan.advance(u, 0)
         assert (got - u)[1:-1].tolist() == [2.0] * 99
         assert rf_apply_bounded(FieldState(grid, u), 0.0, 0.0, table, tails).tolist() == [2.0] * 99
 
     def test_window_too_small(self):
         p = validate_params(0.5, 0.0)
-        cfg = SchemeConfig(params=p, k_alpha=1.0)
         for k_min, k_max in ((-3, 3), (-4, 3), (-3, 4)):
             table = weight_table(p, k_min, k_max)
             with pytest.raises(WindowTooSmall):
-                step_plan(cfg, 1e-3, table, TailSums(p), 5, 0.2)  # n = 5 needs [-4, 4]
-            with pytest.raises(WindowTooSmall):
-                table.application_matrix(5)
+                table.application_matrix(5)  # n = 5 needs [-4, 4]
 
 
 class TestTailSums:

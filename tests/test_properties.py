@@ -152,8 +152,8 @@ def test_tails_telescope_into_the_weights(case):
 @example(((0.5, 0.5), 3, 0))
 @example(((0.5, -0.5), 40, 3))
 def test_apply_equals_the_dense_product(case):
-    # the explicit step (sigma = 1, r = 1) applies the stencil of a table
-    # whose window may reach past the N-1 the grid needs
+    # the explicit step (sigma = 1, r = 1) against the dense reference of
+    # a table whose window may reach past the N-1 the grid needs
     (alpha, theta), n, extra = case
     grid = build_grid(0.0, 1.0, n)
     _check_against_the_dense_solve(
@@ -177,15 +177,16 @@ def test_update_coefficients_sum_to_one(case):
     # the weights sum to zero, these sum to one.  Each of the two
     # closed-form tails is allowed the tolerance of
     # test_tails_telescope_into_the_weights, scaled by r as the
-    # coefficients are r w_k
-    (alpha, theta), n, extra = case
+    # coefficients are r w_k.  The plan's window is its grid's, so the
+    # drawn window reach does not enter
+    (alpha, theta), n, _ = case
     params = validate_params(alpha, theta)
     grid = build_grid(0.0, 1.0, n)
     dt = 0.9 * max_stable_dt(params, 1.0, grid.h)
     cfg = SchemeConfig(params=params, k_alpha=1.0)
-    table = weight_table(params, -(n - 1) - extra, n - 1 + extra)
+    table = weight_table(params, -(n - 1), n - 1)
     tails = TailSums(params)
-    plan = step_plan(cfg, dt, table, tails, n, grid.h)
+    plan = step_plan(cfg, dt, grid)
     r = dt / grid.h**alpha
     on_nodes = np.correlate(np.ones(n + 1), plan.stencil, plan.mode)[1:-1]
     js = np.arange(1, n)
@@ -272,8 +273,8 @@ def test_time_table_boundaries_match_the_dense_solve(case):
 def _check_against_the_dense_solve(params, sigma, grid, dt, bc_left, bc_right, f, extra=0):
     # the step solves the interior Toeplitz system; the dense LU of the
     # whole (N+1) x (N+1) system is the reference.  Within 1e-12 relative
-    # where r <= 1, within 1e-12 cond(T) beyond.  The weight table reaches
-    # ``extra`` offsets past the N-1 the grid needs
+    # where r <= 1, within 1e-12 cond(T) beyond.  The reference's weight
+    # table reaches ``extra`` offsets past the N-1 the grid needs
     n = grid.n_cells
     cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=sigma,
                        bc_left=bc_left, bc_right=bc_right)
@@ -283,7 +284,7 @@ def _check_against_the_dense_solve(params, sigma, grid, dt, bc_left, bc_right, f
     state = FieldState(grid=grid, values=values, time=dt * f, step_index=f)
     matrix, rhs = assemble_system(state, cfg, dt, table, tails)
     expected = lu_solve(lu_factor(matrix), rhs)
-    got = implicit_step(state, step_plan(cfg, dt, table, tails, n, grid.h)).values
+    got = implicit_step(state, step_plan(cfg, dt, grid)).values
     r = dt / grid.h**params.alpha
     gate = 1e-12 * (1.0 if r <= 1.0 else np.linalg.cond(matrix[1:-1, 1:-1]))
     assert got[0] == rhs[0] and got[-1] == rhs[-1]
@@ -317,14 +318,12 @@ def test_run_equals_stepping_by_hand(case):
     series = run(SimulationConfig(grid=grid, scheme=scheme, initial=initial, t_end=steps * dt,
                                   snapshot_times=(dt,), dt_policy=DtPolicy.fixed(dt)))
     assert series.n_steps == steps
-    table = weight_table(params, -(n - 1), n - 1)
-    tails = TailSums(params)
     by_hand = [sample_initial(initial, grid)]
     for _ in range(steps):
-        by_hand.append(implicit_step(by_hand[-1], step_plan(scheme, dt, table, tails, n, grid.h)))
+        by_hand.append(implicit_step(by_hand[-1], step_plan(scheme, dt, grid)))
     for snap in series.snapshots:
         ref = by_hand[snap.step_index]
         assert snap.time == ref.time and np.array_equal(snap.values, ref.values)
     # steps=k in one advance call against k single calls
-    plan = step_plan(scheme, dt, table, tails, n, grid.h)
+    plan = step_plan(scheme, dt, grid)
     assert np.array_equal(plan.advance(by_hand[0].values, 0, steps), by_hand[-1].values)

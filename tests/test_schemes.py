@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import rieszfd.schemes
 import rieszfd.simulate
 from rieszfd import (
     BoundarySpec,
     ConfigInvalid,
+    DimensionMismatch,
     DtPolicy,
     FieldState,
     InitialCondition,
@@ -12,7 +14,6 @@ from rieszfd import (
     SimulationConfig,
     TailSums,
     UnstableTimestep,
-    WeightTable,
     WindowTooSmall,
     build_grid,
     implicit_step,
@@ -40,7 +41,7 @@ def make_setup(params, n_cells=16, left=0.0, right=1.0, k_alpha=1.0, dt=None, si
     )
     table = weight_table(params, -(n_cells - 1), n_cells - 1)
     tails = TailSums(params)
-    return grid, cfg, table, tails, step_plan(cfg, dt, table, tails, n_cells, grid.h)
+    return grid, cfg, table, tails, step_plan(cfg, dt, grid)
 
 
 class TestPCoefficient:
@@ -155,8 +156,7 @@ class TestExplicitStep:
         dt = grid.h**2 / 4.0
         cfg = SchemeConfig(params=params, k_alpha=1.0,
                            bc_left=BoundarySpec.constant(1.0), bc_right=BoundarySpec.constant(2.0))
-        table = weight_table(params, -9, 9)
-        plan = step_plan(cfg, dt, table, TailSums(params), 10, grid.h)
+        plan = step_plan(cfg, dt, grid)
         vals = rng.uniform(0, 1, 11)
         new = implicit_step(FieldState(grid=grid, values=vals), plan)
         for i in range(1, 10):
@@ -189,12 +189,11 @@ class TestExplicitStep:
             raise AssertionError("weight table built for a refused run")
 
         with monkeypatch.context() as patched:
-            patched.setattr(rieszfd.simulate, "weight_table", no_table)
+            patched.setattr(rieszfd.schemes, "weight_table", no_table)
             with pytest.raises(UnstableTimestep):
                 run(config)
         # the plan itself never checks the bound: it steps past it
-        table = weight_table(params, -15, 15)
-        plan = step_plan(scheme, dt, table, TailSums(params), 16, grid.h)
+        plan = step_plan(scheme, dt, grid)
         state = sample_initial(InitialCondition.delta(), grid)
         for _ in range(3):
             state = implicit_step(state, plan)
@@ -337,7 +336,7 @@ class TestImplicitStep:
         state = FieldState(grid=grid, values=rng.uniform(0, 1, 13))
 
         def fresh():
-            return step_plan(cfg, plan.dt, table, tails, grid.n_cells, grid.h)
+            return step_plan(cfg, plan.dt, grid)
 
         a = implicit_step(implicit_step(state, fresh()), fresh())
         b = implicit_step(implicit_step(state, plan), plan)
@@ -352,34 +351,49 @@ class TestImplicitStep:
         for sigma in (0.0, 0.5, 1.0):
             cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=sigma)
             with pytest.raises(ValueError, match="dt must be positive and finite"):
-                step_plan(cfg, dt, table, tails, 8, grid.h)
+                step_plan(cfg, dt, grid)
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 assemble_system(state, cfg, dt, table, tails)
 
+    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    def test_refuses_a_state_of_another_grid(self, alpha):
+        # a plan for 8 cells on [0, 1] and 16-cell values: at alpha = 2 the
+        # step would return a wrong 17-value state, at 1.5 fail deep inside
+        params = validate_params(alpha, 0.0)
+        cfg = SchemeConfig(params=params, k_alpha=1.0)
+        coarse, fine = build_grid(0.0, 1.0, 8), build_grid(0.0, 1.0, 16)
+        plan = step_plan(cfg, 0.5 * max_stable_dt(params, 1.0, fine.h), coarse)
+        values = np.linspace(0.0, 1.0, 17)
+        with pytest.raises(DimensionMismatch):
+            implicit_step(FieldState(grid=fine, values=values), plan)
+        with pytest.raises(DimensionMismatch):
+            plan.advance(values, 0, 3)
+        # as many nodes on another domain: another h, so other coefficients
+        with pytest.raises(DimensionMismatch):
+            implicit_step(FieldState(grid=build_grid(0.0, 2.0, 8), values=values[::2]), plan)
+        assert implicit_step(FieldState(grid=coarse, values=values[::2]), plan).step_index == 1
+
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
     def test_node_aligned_step_at_every_reach(self, n):
-        # synthetic tables of every reach, as TestApply builds them: the
-        # plan correlates in "same" mode while 2r+1 <= N+1, r = min(reach,
-        # N-1), and in "valid" mode on the zero-extended stencil beyond, so
-        # even N switch past 2r+1 = N+1 and odd N at 2r+1 = N+2
+        # the plan correlates in "same" mode while 2r+1 <= N+1, r = min(K,
+        # N-1), and in "valid" mode on the zero-extended stencil beyond:
+        # alpha = 2 reaches K = 1 node, every other order the whole grid,
+        # one-sided at theta = +-alpha below 1.  TestApply covers every
+        # reach in between with synthetic weights
         rng = np.random.default_rng(n)
-        params = validate_params(1.5, 0.3)
         grid = build_grid(0.0, 1.0, n)
-        tails = TailSums(params)
-        m = n + 2
-        ks = np.arange(-m, m + 1)
         values = rng.uniform(-1.0, 1.0, n + 1)
         modes = set()
-        for reach in range(1, m + 1):
-            w = np.where(np.abs(ks) <= reach, rng.uniform(0.5, 1.5, ks.size), 0.0)
-            table = WeightTable(params, -m, m, w)
+        for alpha, theta in ((2.0, 0.0), (1.5, 0.3), (0.7, 0.7), (0.7, -0.7)):
+            params = validate_params(alpha, theta)
+            table = weight_table(params, -(n - 1), n - 1)
+            tails = TailSums(params)
             for sigma in (0.0, 0.5, 1.0):
-                # r = 0.01 keeps T = I + (sigma - 1) r W diagonally dominant
-                dt = 0.01 * grid.h**1.5
+                dt = 0.01 * grid.h**alpha
                 cfg = SchemeConfig(params=params, k_alpha=1.0,
                                    sigma=sigma, bc_left=BoundarySpec.constant(0.7),
                                    bc_right=BoundarySpec.constant(-0.4))
-                plan = step_plan(cfg, dt, table, tails, n, grid.h)
+                plan = step_plan(cfg, dt, grid)
                 modes.add(plan.mode)
                 got = plan.advance(values, 0)
                 state = FieldState(grid=grid, values=values)
@@ -394,9 +408,8 @@ class TestImplicitStep:
         spec = BoundarySpec.time_table([(0.0, 0.0), (1.0, 1.0)])
         grid = build_grid(0.0, 1.0, 8)
         cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=0.0, bc_left=spec, bc_right=spec)
-        table = weight_table(params, -7, 7)
         state = FieldState(grid=grid, values=np.zeros(9))
-        new = implicit_step(state, step_plan(cfg, 0.1, table, TailSums(params), 8, grid.h))
+        new = implicit_step(state, step_plan(cfg, 0.1, grid))
         assert new.values[0] == pytest.approx(0.05, abs=1e-15)
         assert new.values[-1] == pytest.approx(0.05, abs=1e-15)
         assert new.values[0] == boundary_at_half_step(spec, 0.1, 0)

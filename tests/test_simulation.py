@@ -17,14 +17,12 @@ from rieszfd import (
     NoSuchSnapshot,
     SchemeConfig,
     SimulationConfig,
-    TailSums,
     build_grid,
     mass,
     max_stable_dt,
     run,
     snapshot_error,
     validate_params,
-    weight_table,
 )
 from rieszfd.grid import sample_initial
 from rieszfd.schemes import step_plan
@@ -94,7 +92,7 @@ class TestResolveDt:
         def no_table(*args):
             raise AssertionError("weight table built for a refused run")
 
-        monkeypatch.setattr(rieszfd.simulate, "weight_table", no_table)
+        monkeypatch.setattr(rieszfd.schemes, "weight_table", no_table)
         for sigma in (1.0, 0.0):
             cfg = small_config(policy=DtPolicy.fixed(1e-12), t_end=1.0, sigma=sigma)
             with pytest.raises(ConfigInvalid, match="budget"):
@@ -229,12 +227,8 @@ class TestRun:
             dt_policy=DtPolicy.auto(0.9),
         )
         dt, n_steps = resolve_dt(config)
-        grid, params = config.grid, config.scheme.params
-        plan = step_plan(
-            config.scheme, dt,
-            weight_table(params, -(grid.n_cells - 1), grid.n_cells - 1),
-            TailSums(params), grid.n_cells, grid.h,
-        )
+        grid = config.grid
+        plan = step_plan(config.scheme, dt, grid)
         assert np.min(plan.stencil) >= 0.0
         assert np.min(plan.left) >= 0.0 and np.min(plan.right) >= 0.0
         state = sample_initial(config.initial, grid)
@@ -245,6 +239,29 @@ class TestRun:
             current = mass(FieldState(grid=grid, values=values))
             assert current <= previous * (1.0 + 1e-12)
             previous = current
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    def test_run_across_segments_equals_one_advance(self, sigma):
+        # run advances 5000 steps in two calls, 4096 and 904 steps, each
+        # evaluating the boundary tables at its own half steps; one call of
+        # all 5000 gives the same bits
+        n_steps = 5000
+        assert rieszfd.simulate._SEGMENT_STEPS < n_steps
+        params = validate_params(1.5, 0.3)
+        grid = build_grid(0.0, 1.0, 8)
+        dt = 0.5 * max_stable_dt(params, 1.0, grid.h)
+        scheme = SchemeConfig(
+            params=params, k_alpha=1.0, sigma=sigma,
+            bc_left=BoundarySpec.time_table([(0.0, 1.0), (n_steps * dt, -0.5)]),
+            bc_right=BoundarySpec.time_table([(0.0, 0.0), (0.5 * n_steps * dt, 2.0)]),
+        )
+        initial = InitialCondition.box(1.0, 0.25, 0.5)
+        series = run(SimulationConfig(grid=grid, scheme=scheme, initial=initial,
+                                      t_end=n_steps * dt, dt_policy=DtPolicy.fixed(dt)))
+        assert series.n_steps == n_steps
+        values = sample_initial(initial, grid).values
+        expected = step_plan(scheme, dt, grid).advance(values, 0, n_steps)
+        assert np.array_equal(series.snapshots[-1].values, expected)
 
     def test_config_hash_distinguishes_configs(self):
         a = run(small_config(alpha=1.5, t_end=0.01))
