@@ -169,13 +169,13 @@ def _weights(ks: np.ndarray, params: FractionalParams) -> np.ndarray:
     """w_k for every integer offset in ``ks``, from the one law."""
     c, b, pref, cross, terms = _law(params)
     qi = np.abs(ks)
-    # P(i) = i**b once for i = -3..max|k|+2; diffs[q + e + 2] = P(q+e) - P(q+e-1)
-    powers = _powers(np.arange(-3.0, qi.max(initial=0) + 3.0), b)
-    diffs = powers[1:] - powers[:-1]
+    # P(i) = i**b for i = min|k|-3..max|k|+2; diffs[j+e] = P(q+e) - P(q+e-1), j = q-min|k|+2
+    powers = _powers(np.arange(qi.min() - 3.0, qi.max() + 3.0), b)
+    diffs, j = powers[1:] - powers[:-1], qi - qi.min() + 2
     # L(q) = sum_e C_e (P(q+e) - P(q+e-1)): zero-sum whatever the rounding
     # of the coefficients, and each difference of two adjacent powers is
     # exact (Sterbenz), so no error grows like q**b
-    law = sum(cum * diffs[qi + shift + 2] for shift, cum in _cumulative(terms))
+    law = sum(cum * diffs[j + shift] for shift, cum in _cumulative(terms))
     side = np.where(ks < 0, c.c_left, np.where(ks > 0, c.c_right, c.c_left + c.c_right))
     other = np.where(ks < 0, c.c_right, c.c_left)
     expr = law * side
@@ -184,7 +184,7 @@ def _weights(ks: np.ndarray, params: FractionalParams) -> np.ndarray:
 
 
 def weight(k: int, params: FractionalParams) -> float:
-    """Dimensionless stencil weight w_k (scale by h**-alpha on application)."""
+    """Dimensionless stencil weight w_k (scale by h**-alpha), in O(1) at any offset k."""
     return float(_weights(np.array([int(k)]), params)[0])
 
 

@@ -29,6 +29,8 @@ from .grid import BoundarySpec, FieldState, Grid1D, boundary_at_half_step
 from .kernel import FractionalParams, TailSums, WeightTable, weight, weight_table
 from .linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
 
+_SEGMENT_STEPS = 4096  # half steps whose boundary values advance evaluates at once
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -142,29 +144,35 @@ class StepPlan:
     factorization: ToeplitzFactorization | TridiagonalFactorization | None
 
     def advance(self, values: np.ndarray, f: int, steps: int = 1) -> np.ndarray:
-        """The N+1 nodal values C^{f+steps} from C^f, as a new array
-        (steps >= 1).  The boundary values of all the half steps are
-        evaluated at once; each step then takes the end nodes to its own.
-        Raises DimensionMismatch unless ``values`` holds N+1 values."""
-        n = self.grid.n_cells
-        if len(values) != n + 1:
-            raise DimensionMismatch(f"a plan for {n} cells steps {n + 1} values, got {len(values)}")
-        half_steps = np.arange(f, f + steps)
-        g_lefts = boundary_at_half_step(self.bc_left, self.dt, half_steps).tolist()
-        g_rights = boundary_at_half_step(self.bc_right, self.dt, half_steps).tolist()
-        for g_left, g_right in zip(g_lefts, g_rights):
-            if self.stencil is None:
-                new = values.copy()
-            else:
-                new = np.correlate(values, self.stencil, self.mode)
-            if g_left != 0.0:
-                new[1:-1] += g_left * self.left
-            if g_right != 0.0:
-                new[1:-1] += g_right * self.right
-            if self.factorization is not None:
-                new[1:-1] = self.factorization.solve(new[1:-1])
-            new[0], new[-1] = g_left, g_right
-            values = new
+        """C^{f+steps} from the N+1 nodal values C^f, as a new float array.
+
+        ``values`` is read once as a 1-D float array, so an int state steps
+        like its float copy.  f < 0 or steps < 1 raises ValueError, and any
+        shape but (N+1,) DimensionMismatch, before any work.  The boundary
+        values are evaluated once per ``_SEGMENT_STEPS`` half steps, so any
+        step count takes O(N + _SEGMENT_STEPS) memory."""
+        if f < 0 or steps < 1:
+            raise ValueError(f"advance needs f >= 0 and steps >= 1, got f={f}, steps={steps}")
+        values, n = np.asarray(values, dtype=float), self.grid.n_cells
+        if values.shape != (n + 1,):
+            raise DimensionMismatch(f"a {n}-cell plan steps {n + 1} values, got {values.shape}")
+        for start in range(f, f + steps, _SEGMENT_STEPS):
+            half_steps = np.arange(start, min(start + _SEGMENT_STEPS, f + steps))
+            g_lefts = boundary_at_half_step(self.bc_left, self.dt, half_steps).tolist()
+            g_rights = boundary_at_half_step(self.bc_right, self.dt, half_steps).tolist()
+            for g_left, g_right in zip(g_lefts, g_rights):
+                if self.stencil is None:
+                    new = values.copy()
+                else:
+                    new = np.correlate(values, self.stencil, self.mode)
+                if g_left != 0.0:
+                    new[1:-1] += g_left * self.left
+                if g_right != 0.0:
+                    new[1:-1] += g_right * self.right
+                if self.factorization is not None:
+                    new[1:-1] = self.factorization.solve(new[1:-1])
+                new[0], new[-1] = g_left, g_right
+                values = new
         return values
 
 

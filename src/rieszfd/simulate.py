@@ -21,9 +21,6 @@ _ALIGN_STEP_CAP = 50_000_000
 # runs of more steps are refused before anything is built: 10**8 steps
 # take about ten minutes at a few microseconds a step, a day at a millisecond
 _STEP_BUDGET = 10**8
-# steps per ``advance`` call: the boundary values it evaluates at once
-# stay a few pages however far apart two recorded steps are
-_SEGMENT_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -144,11 +141,9 @@ def run(config: SimulationConfig) -> SnapshotSeries:
     Deterministic: identical configs produce bit-identical series, equal
     to stepping ``implicit_step`` by hand with a plan of the same dt.  An
     unstable explicit dt or a step count past the budget is refused before
-    anything is built.  One ``step_plan`` of the run's grid (for sigma < 1
-    with the factored interior Toeplitz system) is built once.  The loop
-    then advances bare arrays from one recorded step to the next, in
-    ``StepPlan.advance`` calls of up to ``_SEGMENT_STEPS`` steps, and
-    wraps only the recorded ones in a ``FieldState``.
+    anything is built.  One ``step_plan`` of the run's grid is built once;
+    one ``StepPlan.advance`` call per recorded step then carries bare
+    arrays there, and only the recorded ones become ``FieldState``s.
     """
     dt, n_steps = resolve_dt(config)
     grid = config.grid
@@ -166,10 +161,7 @@ def run(config: SimulationConfig) -> SnapshotSeries:
     plan = step_plan(config.scheme, dt, grid)
     values, done = state.values, 0
     for f in sorted(wanted):
-        while done < f:
-            steps = min(f - done, _SEGMENT_STEPS)
-            values = plan.advance(values, done, steps)
-            done += steps
+        values, done = plan.advance(values, done, f - done), f
         recorded.append(FieldState(grid=grid, values=values, time=dt * f, step_index=f))
     return SnapshotSeries(
         config=config,

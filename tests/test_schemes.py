@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -413,3 +415,56 @@ class TestImplicitStep:
         assert new.values[0] == pytest.approx(0.05, abs=1e-15)
         assert new.values[-1] == pytest.approx(0.05, abs=1e-15)
         assert new.values[0] == boundary_at_half_step(spec, 0.1, 0)
+
+
+def _peak_bytes(call):
+    """The tracemalloc peak of ``call()``, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAdvance:
+    @pytest.mark.parametrize("f, steps", [(0, 0), (0, -3), (-1, 2)])
+    def test_refuses_a_step_count_below_one_or_a_negative_start(self, f, steps):
+        params = validate_params(1.5, 0.3)
+        *_, plan = make_setup(params, n_cells=8, gl=1.0)
+        values = np.linspace(0.0, 1.0, 9)
+        with pytest.raises(ValueError, match="f >= 0 and steps >= 1"):
+            plan.advance(values, f, steps)
+
+    def test_reads_any_state_as_one_float_array(self):
+        # an int64 state and a list step bit for bit like their float64
+        # copy, into a new float array; any other shape is refused
+        params = validate_params(1.5, 0.3)
+        ints = np.array([0, 2, 2, 2, 2, 2, 2, 2, 2])
+        for sigma in (0.0, 0.5, 1.0):
+            *_, plan = make_setup(params, n_cells=8, sigma=sigma, gl=0.3, gr=-0.2)
+            floats = ints.astype(np.float64)
+            expected = plan.advance(floats, 0, 5)
+            assert expected is not floats
+            for values in (ints, ints.tolist()):
+                got = plan.advance(values, 0, 5)
+                assert got is not values and got.dtype == np.float64
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            with pytest.raises(DimensionMismatch):
+                plan.advance(ints[:, None], 0, 5)
+
+    def test_memory_is_bounded_whatever_the_step_count(self):
+        # 30000 steps of an 8-cell plan: the boundary values of all of them
+        # at once would take about 2 MiB of arrays and Python floats
+        params = validate_params(1.5, 0.3)
+        grid = build_grid(0.0, 1.0, 8)
+        dt = 0.5 * max_stable_dt(params, 1.0, grid.h)
+        table = BoundarySpec.time_table([(0.0, 1.0), (30_000 * dt, -0.5)])
+        cfg = SchemeConfig(params=params, k_alpha=1.0, bc_left=table, bc_right=table)
+        plan = step_plan(cfg, dt, grid)
+        values = np.linspace(0.0, 1.0, 9)
+        assert _peak_bytes(lambda: plan.advance(values, 0, 30_000)) < 2**20
+
+    def test_scalar_weight_memory_does_not_grow_with_the_offset(self):
+        params = validate_params(1.5, 0.3)
+        assert _peak_bytes(lambda: weight(10**7, params)) < 2**20

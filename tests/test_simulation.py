@@ -6,7 +6,6 @@ import pytest
 import rieszfd.kernel
 import rieszfd.linalg
 import rieszfd.schemes
-import rieszfd.simulate
 from rieszfd import (
     AnalyticKernel,
     BoundarySpec,
@@ -242,11 +241,12 @@ class TestRun:
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
     def test_run_across_segments_equals_one_advance(self, sigma):
-        # run advances 5000 steps in two calls, 4096 and 904 steps, each
-        # evaluating the boundary tables at its own half steps; one call of
-        # all 5000 gives the same bits
+        # run advances 5000 steps in one advance call, which walks them in
+        # two segments, 4096 and 904 steps, each evaluating the boundary
+        # tables at its own half steps; calls that cut the steps elsewhere
+        # give the same bits
         n_steps = 5000
-        assert rieszfd.simulate._SEGMENT_STEPS < n_steps
+        assert rieszfd.schemes._SEGMENT_STEPS < n_steps
         params = validate_params(1.5, 0.3)
         grid = build_grid(0.0, 1.0, 8)
         dt = 0.5 * max_stable_dt(params, 1.0, grid.h)
@@ -260,8 +260,13 @@ class TestRun:
                                       t_end=n_steps * dt, dt_policy=DtPolicy.fixed(dt)))
         assert series.n_steps == n_steps
         values = sample_initial(initial, grid).values
-        expected = step_plan(scheme, dt, grid).advance(values, 0, n_steps)
+        plan = step_plan(scheme, dt, grid)
+        expected = plan.advance(values, 0, n_steps)
         assert np.array_equal(series.snapshots[-1].values, expected)
+        values = plan.advance(values, 0, 4095)
+        for f in range(4095, 4098):
+            values = plan.advance(values, f)
+        assert np.array_equal(plan.advance(values, 4098, n_steps - 4098), expected)
 
     def test_config_hash_distinguishes_configs(self):
         a = run(small_config(alpha=1.5, t_end=0.01))
