@@ -87,11 +87,13 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
 
 
 def _build(path: str, make, *args):
-    """make(*args), with a ValueError reported as invalid input at ``path``."""
+    """make(*args), with a refusal reported at ``path``: a ValidationError
+    keeps its type, any other ValueError becomes ConfigInvalid."""
     try:
         return make(*args)
     except ValueError as exc:
-        raise ConfigInvalid(f"{path}: {exc}") from exc
+        kind = type(exc) if isinstance(exc, ValidationError) else ConfigInvalid
+        raise kind(f"{path}: {exc}") from exc
 
 
 def _pairs(points, path: str, first: str) -> list[tuple[float, float]]:
@@ -189,10 +191,8 @@ def parse_config(text_or_mapping, base_dir: Path | None = None) -> SimulationCon
     if missing:
         raise ConfigInvalid(f"missing required key(s): {', '.join(sorted(missing))}")
 
-    try:
-        params = validate_params(_number(doc["alpha"], "alpha"), _number(doc["theta"], "theta"))
-    except ValidationError as exc:
-        raise type(exc)(f"alpha/theta: {exc}") from exc
+    alpha, theta = _number(doc["alpha"], "alpha"), _number(doc["theta"], "theta")
+    params = _build("alpha/theta", validate_params, alpha, theta)
 
     domain = doc["domain"]
     if not isinstance(domain, list) or len(domain) != 2:
@@ -201,54 +201,33 @@ def parse_config(text_or_mapping, base_dir: Path | None = None) -> SimulationCon
     n_cells = doc["n_cells"]
     if isinstance(n_cells, bool) or not isinstance(n_cells, int):
         raise ConfigInvalid(f"n_cells: expected an integer, got {n_cells!r}")
-    try:
-        grid = build_grid(left, right, n_cells)
-    except ValidationError as exc:
-        raise type(exc)(f"domain/n_cells: {exc}") from exc
+    grid = _build("domain/n_cells", build_grid, left, right, n_cells)
 
     dt_spec = doc.get("dt", "auto")
     if dt_spec == "auto":
         safety = _number(doc["dt_safety"], "dt_safety") if "dt_safety" in doc else DEFAULT_DT_SAFETY
-        policy = DtPolicy.auto(safety)
+        policy = _build("dt_safety", DtPolicy.auto, safety)
     else:
         if "dt_safety" in doc:
             raise ConfigInvalid("dt_safety: only applicable when dt is \"auto\"")
         if isinstance(dt_spec, bool) or not isinstance(dt_spec, (int, float)):
             raise ConfigInvalid(f"dt: expected \"auto\" or a number, got {dt_spec!r}")
-        policy = DtPolicy.fixed(float(dt_spec))
+        policy = _build("dt", DtPolicy.fixed, float(dt_spec))
 
     sigma = _number(doc["sigma"], "sigma") if "sigma" in doc else 1.0
-    try:
-        scheme = SchemeConfig(
-            params=params,
-            k_alpha=_number(doc["k_alpha"], "k_alpha"),
-            sigma=sigma,
-            bc_left=_parse_boundary(doc.get("bc_left"), "bc_left"),
-            bc_right=_parse_boundary(doc.get("bc_right"), "bc_right"),
-        )
-    except ValidationError:
-        raise
-    except ValueError as exc:
-        raise ConfigInvalid(f"scheme: {exc}") from exc
+    k_alpha = _number(doc["k_alpha"], "k_alpha")
+    bc_left = _parse_boundary(doc.get("bc_left"), "bc_left")
+    bc_right = _parse_boundary(doc.get("bc_right"), "bc_right")
+    scheme = _build("k_alpha/sigma", SchemeConfig, params, k_alpha, sigma, bc_left, bc_right)
 
     snapshots = doc.get("snapshots", [])
     if not isinstance(snapshots, list):
         raise ConfigInvalid(f"snapshots: expected a list of times, got {snapshots!r}")
 
     initial = _parse_initial(doc["initial"], base_dir)
-    try:
-        return SimulationConfig(
-            grid=grid,
-            scheme=scheme,
-            initial=initial,
-            t_end=_number(doc["t_end"], "t_end"),
-            snapshot_times=tuple(_number(t, f"snapshots[{i}]") for i, t in enumerate(snapshots)),
-            dt_policy=policy,
-        )
-    except ValidationError:
-        raise
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
+    t_end = _number(doc["t_end"], "t_end")
+    times = tuple(_number(t, f"snapshots[{i}]") for i, t in enumerate(snapshots))
+    return _build("t_end/snapshots", SimulationConfig, grid, scheme, initial, t_end, times, policy)
 
 
 def output_directory(text_or_mapping) -> str:

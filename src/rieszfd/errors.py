@@ -63,7 +63,10 @@ class UnknownKey(ValidationError):
 
 
 class SingularMatrix(ArithmeticError):
-    """LU factorization hit a pivot below the singularity threshold."""
+    """A system is singular to working precision: a pivot of the LU or
+    tridiagonal factorization, a Strang circulant eigenvalue or the first
+    generator entry |x_0| below 1e-300, GMRES not converging, or a
+    Gohberg-Semencul generator backward error above 1e-10."""
 
 
 class NoSuchSnapshot(LookupError):

@@ -192,16 +192,21 @@ def weight(k: int, params: FractionalParams) -> float:
 class WeightTable:
     """Stencil weights over the index window [k_min, k_max].
 
-    ``weights[j]`` holds w_{k_min + j}.  ``application_matrix`` builds the
-    operator as a fresh dense matrix on each call, straight from the
-    weights: the dense reference of the tests and ``verify``.  The step
-    reads no table: ``schemes.step_plan`` tabulates its own weights.
+    ``weights[j]`` holds w_{k_min + j}, so the window ends at ``k_max`` =
+    k_min + len(weights) - 1.  ``application_matrix`` builds the operator
+    as a fresh dense matrix on each call, straight from the weights: the
+    dense reference of ``schemes.rf_apply_bounded`` and
+    ``schemes.assemble_system``.  The step reads no table:
+    ``schemes.step_plan`` tabulates its own weights.
     """
 
     params: FractionalParams
     k_min: int
-    k_max: int
     weights: np.ndarray
+
+    @property
+    def k_max(self) -> int:
+        return self.k_min + len(self.weights) - 1
 
     def weight(self, k: int) -> float:
         if not self.k_min <= k <= self.k_max:
@@ -231,7 +236,7 @@ def weight_table(params: FractionalParams, k_min: int, k_max: int) -> WeightTabl
         raise ValueError(f"window [{k_min}, {k_max}] must contain 0")
     values = _weights(np.arange(k_min, k_max + 1), params)
     values.setflags(write=False)
-    return WeightTable(params, int(k_min), int(k_max), values)
+    return WeightTable(params, int(k_min), values)
 
 
 def _tail_core(j: np.ndarray, params: FractionalParams) -> np.ndarray:

@@ -19,6 +19,8 @@ The dense LU (``lu_factor``/``lu_solve``, partial row pivoting, LAPACK
 ``getrf``/``getrs``) solves the dense reference system of
 ``schemes.assemble_system`` in the tests and ``verify``; the solver itself
 does not call it, and the package does not export it at the top level.
+A factorization holds only its factors: ``lu_solve`` reads the size
+from them.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class LUFactorization:
 
     lu: np.ndarray
     piv: np.ndarray
-    n: int
 
 
 def lu_factor(matrix: np.ndarray) -> LUFactorization:
@@ -84,12 +85,12 @@ def lu_factor(matrix: np.ndarray) -> LUFactorization:
     if info > 0 or np.min(np.abs(np.diag(lu))) < PIVOT_FLOOR:
         raise SingularMatrix("pivot below 1e-300; matrix is singular to working precision")
     _frozen(lu, piv)
-    return LUFactorization(lu=lu, piv=piv, n=a.shape[0])
+    return LUFactorization(lu=lu, piv=piv)
 
 
 def lu_solve(fact: LUFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs using a previous factorization of A."""
-    b = _rhs(rhs, fact.n)
+    b = _rhs(rhs, len(fact.lu))
     getrs, = get_lapack_funcs(("getrs",), (fact.lu,))
     x, info = getrs(fact.lu, fact.piv, b)
     if info != 0:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigInvalid, NonpositiveTime
 from .kernel import FractionalParams, _law, rf_coefficients, weight
 from .schemes import SchemeConfig
-from .simulate import SimulationConfig, run, snapshot_error
+from .simulate import SimulationConfig, _window_mask, resolve_dt, run, snapshot_error
 
 GAUSS = "gauss_alpha2"
 CAUCHY = "cauchy_alpha1"
@@ -215,26 +215,25 @@ def convergence_study(
     Each refinement halves h (doubles the cell count) and re-resolves dt
     from the config's policy; errors are measured at t_end against the
     applicable analytic kernel.  Rates are reported, not asserted.  Raises
-    ConfigInvalid, before any run, for a negative refinement count or a
+    ConfigInvalid, before any run, for a negative refinement count, a
     window that is not finite with lo < hi or holds no node of the base
-    grid (every finer level holds every base node).
+    grid (every finer level holds every base node), or a level whose dt
+    ``resolve_dt`` refuses.
     """
     if refinements < 0:
         raise ConfigInvalid(f"refinements must be >= 0, got {refinements}")
     if x_window is not None:
-        lo, hi = x_window
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ConfigInvalid(f"x_window must be finite with lo < hi, got {x_window}")
-        xs = base_config.grid.nodes()
-        if not np.any((xs >= lo) & (xs <= hi)):
-            raise ConfigInvalid(f"x_window {x_window} holds no node of the grid")
+        _window_mask(x_window, base_config.grid.nodes())
     scheme = base_config.scheme
     kernel = reference_kernel_for(scheme.params, scheme.k_alpha)
-    rows = []
+    configs = []
     for level in range(refinements + 1):
         grid = dataclasses.replace(base_config.grid, n_cells=base_config.grid.n_cells * 2**level)
-        config = dataclasses.replace(base_config, grid=grid)
+        configs.append(dataclasses.replace(base_config, grid=grid))
+        resolve_dt(configs[-1])
+    rows = []
+    for config in configs:
         series = run(config)
         err = snapshot_error(series, kernel, config.t_end, "l2rel", x_window)
-        rows.append((grid.h, series.dt, err))
+        rows.append((config.grid.h, series.dt, err))
     return rows

@@ -12,9 +12,11 @@ them once from the grid, in O(N) memory, and below sigma = 1 factors the
 interior Toeplitz system; a step is then one correlation that writes the
 new state node by node, an axpy per nonzero boundary value and an
 O(N log N) solve.  ``rf_apply_bounded`` and ``assemble_system`` are the
-dense reference the tests and ``verify`` compare with: they build the
-operator from ``WeightTable.application_matrix`` and share no stencil
-code with the step.
+dense reference the tests and ``verify`` compare with: given only the
+state and the scheme's parameters, they tabulate the same weights and
+tails for the state's grid, build the operator from
+``WeightTable.application_matrix`` and share no stencil code with the
+step.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch
 from .grid import BoundarySpec, FieldState, Grid1D, boundary_at_half_step
-from .kernel import FractionalParams, TailSums, WeightTable, weight, weight_table
+from .kernel import FractionalParams, TailSums, weight, weight_table
 from .linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
 
 _SEGMENT_STEPS = 4096  # half steps whose boundary values advance evaluates at once
@@ -67,13 +69,13 @@ def max_stable_dt(params: FractionalParams, k_alpha: float, h: float) -> float:
     return -(h**params.alpha) / (k_alpha * weight(0, params))
 
 
+def _dense_operator(params: FractionalParams, n: int) -> np.ndarray:
+    """``WeightTable.application_matrix`` of w_k over exactly [-(N-1), N-1]."""
+    return weight_table(params, -(n - 1), n - 1).application_matrix(n)
+
+
 def rf_apply_bounded(
-    state: FieldState,
-    g_left: float,
-    g_right: float,
-    table: WeightTable,
-    tails: TailSums,
-    sigma: float = 1.0,
+    state: FieldState, g_left: float, g_right: float, params: FractionalParams, sigma: float = 1.0
 ) -> np.ndarray:
     """Sigma-weighted discrete fractional operator at the N-1 interior nodes.
 
@@ -81,17 +83,16 @@ def rf_apply_bounded(
                              + g_left * s_L(i) + g_right * s_R(N-i) )
 
     The window sum covers every node of the bounded grid; the tail sums
-    carry the boundary values held on the virtual nodes outside it.  It is
-    the product with the dense ``WeightTable.application_matrix``, which
-    raises WindowTooSmall for an undersized table.  The step does not call
-    it: it is the reference that ``StepPlan`` is tested against, and
-    shares none of its stencil code.
+    carry the boundary values held on the virtual nodes outside it.  Both
+    are tabulated for the state's grid, the sum as a dense product.  The
+    step does not call it: it is the reference that ``StepPlan`` is
+    tested against, and shares none of its stencil code.
     """
     n = state.grid.n_cells
-    s_left, s_right = tails.interior_arrays(n)
-    window = sigma * (table.application_matrix(n) @ state.values)
+    s_left, s_right = TailSums(params).interior_arrays(n)
+    window = sigma * (_dense_operator(params, n) @ state.values)
     boundary = g_left * s_left + g_right * s_right[::-1]  # s_R(N-i) for i = 1..N-1
-    return (window + boundary) / state.grid.h ** table.params.alpha
+    return (window + boundary) / state.grid.h ** params.alpha
 
 
 def _implicit_ratio(cfg: SchemeConfig, dt: float, h: float) -> float:
@@ -212,17 +213,13 @@ def step_plan(cfg: SchemeConfig, dt: float, grid: Grid1D) -> StepPlan:
 
 
 def assemble_system(
-    state: FieldState,
-    cfg: SchemeConfig,
-    dt: float,
-    table: WeightTable,
-    tails: TailSums,
+    state: FieldState, cfg: SchemeConfig, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The dense reference of ``StepPlan``: (A, b) of one step, A C^{f+1} = b.
 
     A[i, j] = delta_ij + (sigma - 1) r w_{j-i} on interior rows, with unit
     boundary rows; b = C^f + dt K rf_apply_bounded(C^f) on interior rows,
-    with the boundary values on the end rows.
+    with the boundary values on the end rows, all for the state's grid.
     """
     ratio = _implicit_ratio(cfg, dt, state.grid.h)
     f = state.step_index
@@ -230,8 +227,8 @@ def assemble_system(
     gr = boundary_at_half_step(cfg.bc_right, dt, f)
     n = state.grid.n_cells
     matrix = np.eye(n + 1)
-    matrix[1:-1] += ratio * table.application_matrix(n)
-    op = rf_apply_bounded(state, gl, gr, table, tails, cfg.sigma)
+    matrix[1:-1] += ratio * _dense_operator(cfg.params, n)
+    op = rf_apply_bounded(state, gl, gr, cfg.params, cfg.sigma)
     rhs = np.empty_like(state.values)
     rhs[1:-1] = state.values[1:-1] + dt * cfg.k_alpha * op
     rhs[0] = gl

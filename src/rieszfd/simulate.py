@@ -65,13 +65,20 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SnapshotSeries:
-    """Recorded states (first entry is always the t = 0 initial state)."""
+    """Recorded states (first entry is always the t = 0 initial state, the
+    last the final one, after ``n_steps`` steps)."""
 
     config: SimulationConfig
     dt: float
-    n_steps: int
     snapshots: tuple[FieldState, ...]
-    config_hash: str
+
+    @property
+    def n_steps(self) -> int:
+        return self.snapshots[-1].step_index
+
+    @property
+    def config_hash(self) -> str:
+        return config_hash(self.config)
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -163,13 +170,19 @@ def run(config: SimulationConfig) -> SnapshotSeries:
     for f in sorted(wanted):
         values, done = plan.advance(values, done, f - done), f
         recorded.append(FieldState(grid=grid, values=values, time=dt * f, step_index=f))
-    return SnapshotSeries(
-        config=config,
-        dt=dt,
-        n_steps=n_steps,
-        snapshots=tuple(recorded),
-        config_hash=config_hash(config),
-    )
+    return SnapshotSeries(config=config, dt=dt, snapshots=tuple(recorded))
+
+
+def _window_mask(x_window: tuple[float, float], xs: np.ndarray) -> np.ndarray:
+    """The nodes ``xs`` inside x_window = (lo, hi).  Raises ConfigInvalid
+    unless lo < hi are finite and at least one node lies inside."""
+    lo, hi = x_window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigInvalid(f"x_window must be finite with lo < hi, got {x_window}")
+    mask = (xs >= lo) & (xs <= hi)
+    if not np.any(mask):
+        raise ConfigInvalid(f"x_window {x_window} holds no node of the grid")
+    return mask
 
 
 def snapshot_error(
@@ -183,13 +196,14 @@ def snapshot_error(
 
     ``oracle(x, t)`` evaluates the reference solution on node coordinates.
     ``l2rel`` divides by the oracle norm; ``linf`` is the max abs error.
-    ``x_window`` restricts the comparison to nodes inside [lo, hi].
+    ``x_window`` restricts the comparison to nodes inside [lo, hi]; a
+    window that holds no node raises ConfigInvalid.
     """
     state = series.nearest(time)
     xs = state.grid.nodes()
     numeric = state.values
     if x_window is not None:
-        mask = (xs >= x_window[0]) & (xs <= x_window[1])
+        mask = _window_mask(x_window, xs)
         xs, numeric = xs[mask], numeric[mask]
     reference = np.asarray(oracle(xs, state.time), dtype=float)
     diff = numeric - reference

@@ -182,10 +182,8 @@ def _check_implicit_solve() -> CheckResult:
             params=params, k_alpha=1.0, sigma=sigma,
             bc_left=BoundarySpec.constant(0.7), bc_right=BoundarySpec.constant(-0.4),
         )
-        table = weight_table(params, -(n - 1), n - 1)
-        tails = TailSums(params)
         state = FieldState(grid=grid, values=np.cos(np.arange(n + 1.0)))
-        matrix, rhs = assemble_system(state, cfg, dt, table, tails)
+        matrix, rhs = assemble_system(state, cfg, dt)
         expected = lu_solve(lu_factor(matrix), rhs)
         plan = step_plan(cfg, dt, grid)
         got = implicit_step(state, plan).values

@@ -1,3 +1,5 @@
+import ast
+import graphlib
 import json
 import os
 import subprocess
@@ -19,6 +21,7 @@ from rieszfd import (
 )
 import rieszfd
 import rieszfd.oracles
+import rieszfd.simulate
 from rieszfd import cli
 from rieszfd.cli import main, write_snapshot_csv
 from rieszfd.config import (
@@ -145,6 +148,25 @@ class TestParseConfig:
     def test_snapshot_times_must_be_numbers(self, entry):
         with pytest.raises(ConfigInvalid, match=r"snapshots\[1\]"):
             parse_config(fig2_document(snapshots=[0.25, entry]))
+
+    @pytest.mark.parametrize("overrides, error, prefix", [
+        ({"alpha": "two"}, ConfigInvalid, "alpha: expected a number"),
+        ({"theta": None}, ConfigInvalid, "theta: expected a number"),
+        ({"dt_safety": 1.5}, ConfigInvalid, "dt_safety: auto dt safety"),
+        ({"dt": -1.0, "dt_safety": None}, ConfigInvalid, "dt: fixed dt"),
+        ({"sigma": 2.0}, ConfigInvalid, "k_alpha/sigma: sigma"),
+        ({"k_alpha": -1.0}, ConfigInvalid, "k_alpha/sigma: diffusion coefficient"),
+        ({"snapshots": [5.0]}, ConfigInvalid, "t_end/snapshots: snapshot times"),
+        ({"t_end": 0.0}, ConfigInvalid, "t_end/snapshots: t_end"),
+    ])
+    def test_refusals_name_their_field(self, overrides, error, prefix):
+        doc = fig2_document(**overrides)
+        if doc["dt_safety"] is None:
+            del doc["dt_safety"]
+        with pytest.raises(ValueError) as caught:
+            parse_config(doc)
+        assert type(caught.value) is error
+        assert str(caught.value).startswith(prefix)
 
     def test_bad_types(self):
         with pytest.raises(ConfigInvalid):
@@ -439,6 +461,39 @@ class TestCli:
         config_path.write_text(json.dumps(tiny_document(alpha=2.0, n_cells=50, t_end=0.05)))
         assert main(["converge", "--config", str(config_path), *extra]) == 2
         assert key in capsys.readouterr().err
+
+
+    def test_converge_over_budget_level_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_plan(*args):
+            raise AssertionError("a level ran before the study was refused")
+
+        monkeypatch.setattr(rieszfd.simulate, "step_plan", no_plan)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(fig2_document()))
+        assert main(["converge", "--config", str(config_path), "--levels", "8"]) == 2
+        assert "budget" in capsys.readouterr().err
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The modules of the package that the module at ``path`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module.split(".")[0]] if node.module else
+                         [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("rieszfd"):
+            found.add(node.module.split(".")[1] if "." in node.module else "__init__")
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("rieszfd."))
+    return found
+
+
+def test_package_has_no_import_cycle():
+    package = Path(rieszfd.__file__).resolve().parent
+    graph = {path.stem: _package_imports(path) for path in package.glob("*.py")}
+    assert {"config", "schemes", "simulate"} <= graph["cli"]
+    order = list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
+    assert set(order) == set(graph)
 
 
 def test_config_does_not_load_the_cli(tmp_path):

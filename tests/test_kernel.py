@@ -144,6 +144,18 @@ class TestWeights:
         with pytest.raises(WindowTooSmall):
             table.weight(3)
 
+    def test_window_end_is_read_from_the_weights(self):
+        # a table holds k_min and its weights; the window cannot claim more
+        params = validate_params(0.5, 0.0)
+        table = WeightTable(params, -3, np.arange(7.0))
+        assert table.k_max == 3 and table.weight(3) == 6.0
+        with pytest.raises(WindowTooSmall):
+            table.weight(4)
+        with pytest.raises(WindowTooSmall):
+            table.application_matrix(5)  # n = 5 needs [-4, 4]
+        assert WeightTable(params, -4, np.arange(9.0)).application_matrix(5).shape == (4, 6)
+        assert weight_table(params, -5, 2).k_max == 2
+
     def test_skewed_weight_against_reconstruction(self):
         p = validate_params(0.7, 0.3)
         assert weight(1, p) == pytest.approx(weight_oracle(1, p), abs=1e-13)
@@ -198,7 +210,7 @@ class TestApply:
                 w[ks < 0] = 0.0
             stencil, mode = _node_stencil(w[m - (n - 1) : m + n])  # w_-(N-1)..w_(N-1)
             got = np.correlate(u, stencil, mode)
-            dense = WeightTable(params, -m, m, w).application_matrix(n)
+            dense = WeightTable(params, -m, w).application_matrix(n)
             tol = 1e-13 * np.max(np.abs(dense)) * np.max(np.abs(u)) * n
             assert got.shape == (n + 1,)
             assert np.max(np.abs(got[1:-1] - dense @ u)) <= tol
@@ -210,8 +222,6 @@ class TestApply:
 
     def test_alpha_two_reaches_one_node(self):
         params = validate_params(2.0, 0.0)
-        table = weight_table(params, -99, 99)
-        tails = TailSums(params)
         grid = build_grid(0.0, 100.0, 100)  # h = 1, so r = dt = 1
         cfg = SchemeConfig(params=params, k_alpha=1.0)
         u = np.arange(101.0) ** 2
@@ -219,7 +229,7 @@ class TestApply:
         assert plan.mode == "same" and plan.stencil.tolist() == [1.0, -1.0, 1.0]
         got = plan.advance(u, 0)
         assert (got - u)[1:-1].tolist() == [2.0] * 99
-        assert rf_apply_bounded(FieldState(grid, u), 0.0, 0.0, table, tails).tolist() == [2.0] * 99
+        assert rf_apply_bounded(FieldState(grid, u), 0.0, 0.0, params).tolist() == [2.0] * 99
 
     def test_window_too_small(self):
         p = validate_params(0.5, 0.0)

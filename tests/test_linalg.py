@@ -10,6 +10,7 @@ from rieszfd import (
     weight_table,
 )
 from rieszfd.linalg import (
+    LUFactorization,
     ToeplitzFactorization,
     TridiagonalFactorization,
     _generators,
@@ -73,6 +74,14 @@ def test_input_validation():
     fact = lu_factor(np.eye(3))
     with pytest.raises(DimensionMismatch):
         lu_solve(fact, np.zeros(4))
+
+
+def test_lu_solve_reads_the_size_from_the_factors():
+    fact = lu_factor(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    rebuilt = LUFactorization(fact.lu, fact.piv)
+    assert np.allclose(lu_solve(rebuilt, np.array([3.0, 4.0])), [1.0, 1.0], atol=1e-14)
+    with pytest.raises(DimensionMismatch):
+        lu_solve(rebuilt, np.zeros(3))
 
 
 def test_factorization_does_not_mutate_input():

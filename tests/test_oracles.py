@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rieszfd.simulate
 from rieszfd import (
     AnalyticKernel,
     ConfigInvalid,
@@ -114,6 +115,23 @@ class TestConvergence:
         assert len(rows) == 1
         h, dt, err = rows[0]
         assert h == base.grid.h and err > 0.0
+
+    def test_over_budget_level_is_refused_before_any_run(self, monkeypatch):
+        # the README config: level 8 takes 3.6e8 steps, level 7 alone 9.1e7
+        def no_plan(*args):
+            raise AssertionError("a level ran before the study was refused")
+
+        monkeypatch.setattr(rieszfd.simulate, "step_plan", no_plan)
+        base = SimulationConfig(
+            grid=build_grid(-10.0, 10.0, 1000),
+            scheme=SchemeConfig(params=validate_params(2.0, 0.0), k_alpha=1.0),
+            initial=InitialCondition.delta(),
+            t_end=1.0,
+            snapshot_times=(1.0,),
+            dt_policy=DtPolicy.auto(0.9),
+        )
+        with pytest.raises(ConfigInvalid, match="budget"):
+            convergence_study(base, 8)
 
     def test_gaussian_study_errors_decrease(self):
         base = SimulationConfig(

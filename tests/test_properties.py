@@ -69,9 +69,8 @@ def cases(draw):
 
 @st.composite
 def grids(draw):
-    """A valid (alpha, theta) pair, a cell count N and how far the table
-    window reaches past the N-1 the grid needs."""
-    return _pair(draw), draw(st.integers(2, 300)), draw(st.integers(0, 30))
+    """A valid (alpha, theta) pair and a cell count N."""
+    return _pair(draw), draw(st.integers(2, 300))
 
 
 def _rounding(weights):
@@ -147,29 +146,28 @@ def test_tails_telescope_into_the_weights(case):
 
 @PROPERTY_SETTINGS
 @given(grids())
-@example(((2.0, 0.0), 2, 0))
-@example(((2.0, 0.0), 3, 5))
-@example(((0.5, 0.5), 3, 0))
-@example(((0.5, -0.5), 40, 3))
+@example(((2.0, 0.0), 2))
+@example(((2.0, 0.0), 3))
+@example(((0.5, 0.5), 3))
+@example(((0.5, -0.5), 40))
 def test_apply_equals_the_dense_product(case):
-    # the explicit step (sigma = 1, r = 1) against the dense reference of
-    # a table whose window may reach past the N-1 the grid needs
-    (alpha, theta), n, extra = case
+    # the explicit step (sigma = 1, r = 1) against the dense reference
+    (alpha, theta), n = case
     grid = build_grid(0.0, 1.0, n)
     _check_against_the_dense_solve(
         validate_params(alpha, theta), 1.0, grid, grid.h**alpha,
-        BoundarySpec.constant(0.7), BoundarySpec.constant(-0.4), 0, extra,
+        BoundarySpec.constant(0.7), BoundarySpec.constant(-0.4), 0,
     )
 
 
 @PROPERTY_SETTINGS
 @given(grids())
-@example(((2.0, 0.0), 2, 0))
-@example(((0.5, 0.5), 3, 0))
-@example((NEAR_ZERO[0], NEAR_ZERO[1] + 1, 0))
+@example(((2.0, 0.0), 2))
+@example(((0.5, 0.5), 3))
+@example((NEAR_ZERO[0], NEAR_ZERO[1] + 1))
 # a law whose coefficients sum to 4.4e-16, not 0, in floating point: if
 # the weights took that sum, their error would grow like q**b
-@example(((1.0086072905446921, 0.0), 247, 0))
+@example(((1.0086072905446921, 0.0), 247))
 def test_update_coefficients_sum_to_one(case):
     # at sigma = 1 row i updates by the fused stencil entries
     # delta_k0 + r w_k that land on the nodes, k in [-i, N-i], and by the
@@ -177,9 +175,8 @@ def test_update_coefficients_sum_to_one(case):
     # the weights sum to zero, these sum to one.  Each of the two
     # closed-form tails is allowed the tolerance of
     # test_tails_telescope_into_the_weights, scaled by r as the
-    # coefficients are r w_k.  The plan's window is its grid's, so the
-    # drawn window reach does not enter
-    (alpha, theta), n, _ = case
+    # coefficients are r w_k
+    (alpha, theta), n = case
     params = validate_params(alpha, theta)
     grid = build_grid(0.0, 1.0, n)
     dt = 0.9 * max_stable_dt(params, 1.0, grid.h)
@@ -270,19 +267,16 @@ def test_time_table_boundaries_match_the_dense_solve(case):
     )
 
 
-def _check_against_the_dense_solve(params, sigma, grid, dt, bc_left, bc_right, f, extra=0):
+def _check_against_the_dense_solve(params, sigma, grid, dt, bc_left, bc_right, f):
     # the step solves the interior Toeplitz system; the dense LU of the
     # whole (N+1) x (N+1) system is the reference.  Within 1e-12 relative
-    # where r <= 1, within 1e-12 cond(T) beyond.  The reference's weight
-    # table reaches ``extra`` offsets past the N-1 the grid needs
+    # where r <= 1, within 1e-12 cond(T) beyond
     n = grid.n_cells
     cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=sigma,
                        bc_left=bc_left, bc_right=bc_right)
-    table = weight_table(params, -(n - 1) - extra, n - 1 + extra)
-    tails = TailSums(params)
     values = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
     state = FieldState(grid=grid, values=values, time=dt * f, step_index=f)
-    matrix, rhs = assemble_system(state, cfg, dt, table, tails)
+    matrix, rhs = assemble_system(state, cfg, dt)
     expected = lu_solve(lu_factor(matrix), rhs)
     got = implicit_step(state, step_plan(cfg, dt, grid)).values
     r = dt / grid.h**params.alpha

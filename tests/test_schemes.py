@@ -16,7 +16,6 @@ from rieszfd import (
     SimulationConfig,
     TailSums,
     UnstableTimestep,
-    WindowTooSmall,
     build_grid,
     implicit_step,
     mass,
@@ -24,7 +23,6 @@ from rieszfd import (
     run,
     validate_params,
     weight,
-    weight_table,
 )
 from rieszfd.grid import boundary_at_half_step, sample_initial
 from rieszfd.oracles import p_coefficient, stability_bound_split
@@ -41,9 +39,7 @@ def make_setup(params, n_cells=16, left=0.0, right=1.0, k_alpha=1.0, dt=None, si
         params=params, k_alpha=k_alpha, sigma=sigma,
         bc_left=BoundarySpec.constant(gl), bc_right=BoundarySpec.constant(gr),
     )
-    table = weight_table(params, -(n_cells - 1), n_cells - 1)
-    tails = TailSums(params)
-    return grid, cfg, table, tails, step_plan(cfg, dt, grid)
+    return grid, cfg, step_plan(cfg, dt, grid)
 
 
 class TestPCoefficient:
@@ -109,17 +105,17 @@ class TestStabilityBound:
 class TestApplyBounded:
     def test_annihilates_constants(self):
         for params in sample_params(15, seed=24):
-            grid, cfg, table, tails, _ = make_setup(params, n_cells=24)
+            grid, cfg, _ = make_setup(params, n_cells=24)
             state = FieldState(grid=grid, values=np.full(25, 3.7))
-            out = rf_apply_bounded(state, 3.7, 3.7, table, tails)
+            out = rf_apply_bounded(state, 3.7, 3.7, params)
             assert np.max(np.abs(out)) <= 1e-10
 
     def test_alpha_two_is_second_difference(self, rng):
         params = validate_params(2.0, 0.0)
-        grid, cfg, table, tails, _ = make_setup(params, n_cells=12)
+        grid = build_grid(0.0, 1.0, 12)
         vals = rng.uniform(-1, 1, 13)
         gl, gr = 0.4, -0.3
-        out = rf_apply_bounded(FieldState(grid=grid, values=vals), gl, gr, table, tails)
+        out = rf_apply_bounded(FieldState(grid=grid, values=vals), gl, gr, params)
         h2 = grid.h**2
         for i in range(1, 12):
             expected = (vals[i + 1] - 2 * vals[i] + vals[i - 1]) / h2
@@ -128,25 +124,16 @@ class TestApplyBounded:
 
     def test_linear_field_alpha_two(self):
         params = validate_params(2.0, 0.0)
-        grid, cfg, table, tails, _ = make_setup(params, n_cells=20)
+        grid = build_grid(0.0, 1.0, 20)
         xs = grid.nodes()
-        out = rf_apply_bounded(FieldState(grid=grid, values=xs), xs[0], xs[-1], table, tails)
+        out = rf_apply_bounded(FieldState(grid=grid, values=xs), xs[0], xs[-1], params)
         assert np.max(np.abs(out)) <= 1e-10
-
-    def test_window_too_small(self):
-        params = validate_params(0.5, 0.0)
-        grid = build_grid(0.0, 1.0, 16)
-        table = weight_table(params, -10, 10)  # needs [-15, 15]
-        with pytest.raises(WindowTooSmall):
-            rf_apply_bounded(
-                FieldState(grid=grid, values=np.zeros(17)), 0.0, 0.0, table, TailSums(params)
-            )
 
 
 class TestExplicitStep:
     def test_zero_is_fixed_point(self):
         params = validate_params(1.3, -0.2)
-        grid, cfg, table, tails, plan = make_setup(params)
+        grid, cfg, plan = make_setup(params)
         state = FieldState(grid=grid, values=np.zeros(17))
         new = implicit_step(state, plan)
         assert np.array_equal(new.values, np.zeros(17))
@@ -170,7 +157,8 @@ class TestExplicitStep:
         # spike at node c: interior rows collect p_m for m in [1-c, N-1-c],
         # so one step loses exactly the two tails beyond that window
         params = validate_params(1.5, 0.0)
-        grid, cfg, table, tails, plan = make_setup(params, n_cells=400, left=-10.0, right=10.0)
+        grid, cfg, plan = make_setup(params, n_cells=400, left=-10.0, right=10.0)
+        tails = TailSums(params)
         state = sample_initial(InitialCondition.delta(), grid)
         new = implicit_step(state, plan)
         r = cfg.k_alpha * plan.dt / grid.h**params.alpha
@@ -204,7 +192,7 @@ class TestExplicitStep:
     def test_maximum_principle(self, rng):
         for params in sample_params(15, seed=25):
             gl, gr = rng.uniform(-2, 2, 2)
-            grid, cfg, table, tails, plan = make_setup(params, n_cells=20, gl=gl, gr=gr)
+            grid, cfg, plan = make_setup(params, n_cells=20, gl=gl, gr=gr)
             vals = rng.uniform(-2, 2, 21)
             new = implicit_step(FieldState(grid=grid, values=vals), plan)
             lo = min(vals.min(), gl, gr) - 1e-12
@@ -214,7 +202,7 @@ class TestExplicitStep:
     def test_long_time_decay(self):
         for alpha, theta in ((2.0, 0.0), (1.5, 0.3), (0.7, -0.2)):
             params = validate_params(alpha, theta)
-            grid, cfg, table, tails, plan = make_setup(params, n_cells=40)
+            grid, cfg, plan = make_setup(params, n_cells=40)
             state = sample_initial(InitialCondition.box(1.0, 0.4, 0.6), grid)
             previous = np.max(np.abs(state.values))
             for _ in range(25):
@@ -241,9 +229,9 @@ class TestExplicitStep:
 class TestAssembleSystem:
     def test_sigma_one_interior_is_identity(self):
         params = validate_params(0.8, 0.1)
-        grid, cfg, table, tails, plan = make_setup(params, n_cells=10, sigma=1.0)
+        grid, cfg, plan = make_setup(params, n_cells=10, sigma=1.0)
         state = FieldState(grid=grid, values=np.arange(11.0))
-        matrix, _ = assemble_system(state, cfg, plan.dt, table, tails)
+        matrix, _ = assemble_system(state, cfg, plan.dt)
         assert np.array_equal(matrix, np.eye(11))
 
     def test_sigma_zero_heat_limit_tridiagonal(self):
@@ -251,9 +239,8 @@ class TestAssembleSystem:
         grid = build_grid(0.0, 1.0, 8)
         dt = 0.01
         cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=0.0)
-        table = weight_table(params, -7, 7)
         state = FieldState(grid=grid, values=np.zeros(9))
-        a, _ = assemble_system(state, cfg, dt, table, TailSums(params))
+        a, _ = assemble_system(state, cfg, dt)
         lam = dt / grid.h**2
         for i in range(1, 8):
             assert a[i, i] == pytest.approx(1.0 + 2.0 * lam, rel=1e-15)
@@ -270,12 +257,11 @@ class TestAssembleSystem:
         gl, gr = 0.7, -0.4
         cfg = SchemeConfig(params=params, k_alpha=1.3, sigma=0.5,
                            bc_left=BoundarySpec.constant(gl), bc_right=BoundarySpec.constant(gr))
-        table = weight_table(params, -(n - 1), n - 1)
-        tails = TailSums(params)
         vals = rng.uniform(-1, 1, n + 1)
         state = FieldState(grid=grid, values=vals)
-        matrix, rhs = assemble_system(state, cfg, dt, table, tails)
+        matrix, rhs = assemble_system(state, cfg, dt)
 
+        tails = TailSums(params)
         r = cfg.k_alpha * dt / grid.h**params.alpha
         expected = np.zeros((n + 1, n + 1))
         expected[0, 0] = 1.0
@@ -305,7 +291,8 @@ class TestImplicitStep:
         for trial in range(10):
             params = sample_params(1, seed=300 + trial)[0]
             gl, gr = rng.uniform(-1, 1, 2)
-            grid, cfg, table, tails, plan = make_setup(params, n_cells=n, gl=gl, gr=gr, sigma=1.0)
+            grid, cfg, plan = make_setup(params, n_cells=n, gl=gl, gr=gr, sigma=1.0)
+            tails = TailSums(params)
             vals = rng.uniform(-1, 1, n + 1)
             new = implicit_step(FieldState(grid=grid, values=vals), plan)
             expected = np.empty(n + 1)
@@ -319,14 +306,14 @@ class TestImplicitStep:
     def test_zero_field_zero_boundaries(self):
         for sigma in (0.0, 0.5, 1.0):
             params = validate_params(1.7, 0.1)
-            grid, cfg, table, tails, plan = make_setup(params, n_cells=12, sigma=sigma)
+            grid, cfg, plan = make_setup(params, n_cells=12, sigma=sigma)
             state = FieldState(grid=grid, values=np.zeros(13))
             new = implicit_step(state, plan)
             assert np.max(np.abs(new.values)) == 0.0
 
     def test_fully_implicit_constant_fixed_point(self):
         params = validate_params(0.6, -0.3)
-        grid, cfg, table, tails, plan = make_setup(params, n_cells=18, sigma=0.0, gl=2.5, gr=2.5)
+        grid, cfg, plan = make_setup(params, n_cells=18, sigma=0.0, gl=2.5, gr=2.5)
         state = FieldState(grid=grid, values=np.full(19, 2.5))
         for _ in range(20):
             state = implicit_step(state, plan)
@@ -334,7 +321,7 @@ class TestImplicitStep:
 
     def test_reused_factorization_matches_fresh(self, rng):
         params = validate_params(1.4, 0.2)
-        grid, cfg, table, tails, plan = make_setup(params, n_cells=12, sigma=0.3, gl=1.0)
+        grid, cfg, plan = make_setup(params, n_cells=12, sigma=0.3, gl=1.0)
         state = FieldState(grid=grid, values=rng.uniform(0, 1, 13))
 
         def fresh():
@@ -348,14 +335,13 @@ class TestImplicitStep:
     def test_refuses_a_nonpositive_or_nonfinite_dt(self, dt):
         params = validate_params(1.5, 0.3)
         grid = build_grid(0.0, 1.0, 8)
-        table, tails = weight_table(params, -7, 7), TailSums(params)
         state = FieldState(grid=grid, values=np.ones(9))
         for sigma in (0.0, 0.5, 1.0):
             cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=sigma)
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 step_plan(cfg, dt, grid)
             with pytest.raises(ValueError, match="dt must be positive and finite"):
-                assemble_system(state, cfg, dt, table, tails)
+                assemble_system(state, cfg, dt)
 
     @pytest.mark.parametrize("alpha", [2.0, 1.5])
     def test_refuses_a_state_of_another_grid(self, alpha):
@@ -388,8 +374,6 @@ class TestImplicitStep:
         modes = set()
         for alpha, theta in ((2.0, 0.0), (1.5, 0.3), (0.7, 0.7), (0.7, -0.7)):
             params = validate_params(alpha, theta)
-            table = weight_table(params, -(n - 1), n - 1)
-            tails = TailSums(params)
             for sigma in (0.0, 0.5, 1.0):
                 dt = 0.01 * grid.h**alpha
                 cfg = SchemeConfig(params=params, k_alpha=1.0,
@@ -399,7 +383,7 @@ class TestImplicitStep:
                 modes.add(plan.mode)
                 got = plan.advance(values, 0)
                 state = FieldState(grid=grid, values=values)
-                expected = np.linalg.solve(*assemble_system(state, cfg, dt, table, tails))
+                expected = np.linalg.solve(*assemble_system(state, cfg, dt))
                 assert got[0] == 0.7 and got[-1] == -0.4
                 assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert modes == ({"", "same"} if n == 2 else {"", "same", "valid"})

@@ -25,7 +25,7 @@ from rieszfd import (
 )
 from rieszfd.grid import sample_initial
 from rieszfd.schemes import step_plan
-from rieszfd.simulate import resolve_dt
+from rieszfd.simulate import SnapshotSeries, config_hash, resolve_dt
 
 
 def small_config(alpha=1.5, theta=0.0, sigma=1.0, t_end=0.1, snapshots=(), policy=None,
@@ -268,6 +268,14 @@ class TestRun:
             values = plan.advance(values, f)
         assert np.array_equal(plan.advance(values, 4098, n_steps - 4098), expected)
 
+    def test_series_derives_its_step_count_and_hash(self):
+        cfg = small_config(t_end=0.1, snapshots=(0.05,))
+        series = run(cfg)
+        rebuilt = SnapshotSeries(cfg, series.dt, series.snapshots)
+        for s in (series, rebuilt):
+            assert s.n_steps == resolve_dt(cfg)[1] == s.snapshots[-1].step_index
+            assert s.config_hash == config_hash(cfg)
+
     def test_config_hash_distinguishes_configs(self):
         a = run(small_config(alpha=1.5, t_end=0.01))
         b = run(small_config(alpha=1.6, t_end=0.01))
@@ -305,6 +313,15 @@ class TestSnapshotError:
         series = run(small_config(t_end=0.1))
         with pytest.raises(ValueError):
             snapshot_error(series, AnalyticKernel("gauss_alpha2"), 0.1, "l7")
+
+    @pytest.mark.parametrize("norm", ["l2rel", "linf"])
+    @pytest.mark.parametrize("window", [(0.01, 0.02), (0.5, 0.1), (0.0, math.nan)])
+    def test_window_without_a_node_is_refused(self, norm, window):
+        # 20 cells on [-2, 2]: nodes 0.2 apart, none in (0.01, 0.02)
+        series = run(small_config(alpha=2.0, t_end=0.05, n_cells=20))
+        kernel = AnalyticKernel("gauss_alpha2", 1.0)
+        with pytest.raises(ConfigInvalid, match="x_window"):
+            snapshot_error(series, kernel, 0.05, norm, x_window=window)
 
     def test_window_restricts_nodes(self):
         cfg = small_config(alpha=2.0, t_end=0.05)
