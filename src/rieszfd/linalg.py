@@ -165,7 +165,8 @@ class ToeplitzFactorization:
         b = _rhs(rhs, self.n)
         n, m = self.n, self.size
         inner = fft.irfft(self.upper * fft.rfft(b, m), m)[:, n - 1 : 2 * n - 1]
-        return fft.irfft(np.sum(self.lower * fft.rfft(inner, m), axis=0), m)[:n]
+        spectra = fft.rfft(inner, m)
+        return fft.irfft(self.lower[0] * spectra[0] + self.lower[1] * spectra[1], m)[:n]
 
 
 def toeplitz_factor(

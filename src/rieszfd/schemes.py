@@ -11,18 +11,20 @@ Every coefficient of a step is fixed for a run, so ``step_plan`` builds
 them once from the grid, in O(N) memory, and below sigma = 1 factors the
 interior Toeplitz system; a step is then one correlation that writes the
 new state node by node, an axpy per nonzero boundary value and an
-O(N log N) solve.  ``rf_apply_bounded`` and ``assemble_system`` are the
-dense reference the tests and ``verify`` compare with: given only the
-state and the scheme's parameters, they tabulate the same weights and
-tails for the state's grid, build the operator from
-``WeightTable.application_matrix`` and share no stencil code with the
-step.
+O(N log N) solve.  An explicit plan with a short stencil (alpha = 2 at
+N >= 130) takes ``_BLOCK_STEPS`` steps per correlation instead.
+``rf_apply_bounded`` and ``assemble_system`` are the dense reference the
+tests and ``verify`` compare with: given only the state and the scheme's
+parameters, they tabulate the same weights and tails for the state's
+grid, build the operator from ``WeightTable.application_matrix`` and
+share no stencil code with the step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .kernel import FractionalParams, TailSums, weight, weight_table
 from .linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
 
 _SEGMENT_STEPS = 4096  # half steps whose boundary values advance evaluates at once
+_BLOCK_STEPS = 32  # explicit steps of a short stencil that advance takes in one correlation
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,12 @@ class StepPlan:
     minus T's Dirichlet columns (sigma - 1) r w_{-i}/w_{N-i};
     ``factorization`` is T's (None at sigma = 1, T = I).  ``advance``
     takes any number of steps in one call, the same arithmetic in the same
-    order as that many one-step calls.
+    order as that many one-step calls, except where it blocks: an explicit
+    plan with a "same" stencil of reach r and 4 r ``_BLOCK_STEPS`` + 2 <= N
+    takes full blocks of ``_BLOCK_STEPS`` steps as one correlation with
+    the composed stencil, the nodes near each end from precomputed strip
+    maps.  Blocked steps agree with one-step calls to rounding, and the
+    same call repeated gives the same bits.
     """
 
     grid: Grid1D
@@ -151,7 +159,10 @@ class StepPlan:
         like its float copy.  f < 0 or steps < 1 raises ValueError, and any
         shape but (N+1,) DimensionMismatch, before any work.  The boundary
         values are evaluated once per ``_SEGMENT_STEPS`` half steps, so any
-        step count takes O(N + _SEGMENT_STEPS) memory."""
+        step count takes O(N + _SEGMENT_STEPS) memory.  A plan that blocks
+        takes each segment's full blocks first and its last fewer than
+        ``_BLOCK_STEPS`` steps one at a time; its block data is built on the
+        first call with a full block, so a one-step call never builds it."""
         if f < 0 or steps < 1:
             raise ValueError(f"advance needs f >= 0 and steps >= 1, got f={f}, steps={steps}")
         values, n = np.asarray(values, dtype=float), self.grid.n_cells
@@ -159,9 +170,13 @@ class StepPlan:
             raise DimensionMismatch(f"a {n}-cell plan steps {n + 1} values, got {values.shape}")
         for start in range(f, f + steps, _SEGMENT_STEPS):
             half_steps = np.arange(start, min(start + _SEGMENT_STEPS, f + steps))
-            g_lefts = boundary_at_half_step(self.bc_left, self.dt, half_steps).tolist()
-            g_rights = boundary_at_half_step(self.bc_right, self.dt, half_steps).tolist()
-            for g_left, g_right in zip(g_lefts, g_rights):
+            g_lefts = boundary_at_half_step(self.bc_left, self.dt, half_steps)
+            g_rights = boundary_at_half_step(self.bc_right, self.dt, half_steps)
+            blocked = 0
+            if len(half_steps) >= _BLOCK_STEPS and self._blocks is not None:
+                blocked = len(half_steps) // _BLOCK_STEPS * _BLOCK_STEPS
+                values = self._march_blocks(values, g_lefts[:blocked], g_rights[:blocked])
+            for g_left, g_right in zip(g_lefts[blocked:].tolist(), g_rights[blocked:].tolist()):
                 if self.stencil is None:
                     new = values.copy()
                 else:
@@ -175,6 +190,72 @@ class StepPlan:
                 new[0], new[-1] = g_left, g_right
                 values = new
         return values
+
+    def _march_blocks(
+        self, values: np.ndarray, g_lefts: np.ndarray, g_rights: np.ndarray
+    ) -> np.ndarray:
+        """Whole blocks of ``_BLOCK_STEPS`` steps at the boundary values
+        ``g_lefts``/``g_rights``, one per step, from ``_blocks``."""
+        composed, left_map, left_inflow, right_map, right_inflow = self._blocks
+        width, edge = left_map.shape[1], len(left_map) + 1
+        # row b: what the boundary values of block b carry into each strip
+        lefts = g_lefts.reshape(-1, _BLOCK_STEPS) @ left_inflow.T
+        rights = g_rights.reshape(-1, _BLOCK_STEPS) @ right_inflow.T
+        for b, last in enumerate(range(_BLOCK_STEPS - 1, len(g_lefts), _BLOCK_STEPS)):
+            new = np.correlate(values, composed, "same")
+            new[1:edge] = left_map.dot(values[:width]) + lefts[b]
+            new[-edge:-1] = right_map.dot(values[-width:]) + rights[b]
+            new[0], new[-1] = g_lefts[last], g_rights[last]
+            values = new
+        return values
+
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, ...] | None:
+        """The data of ``_BLOCK_STEPS`` = k explicit steps at once, built
+        on the first ``advance`` call that takes that many: the k-fold
+        composed stencil and, for the left and then the right strip, the
+        (M, G) of ``_strip_block``, the right pair mirrored onto ascending
+        nodes.  None unless the plan is explicit with a "same" stencil of
+        reach r, 4 k r + 2 <= N and no boundary column reaches past r
+        nodes from its end: then nodes more than k r from both ends see no
+        boundary within k steps, and the rest only their strip."""
+        k, n = _BLOCK_STEPS, self.grid.n_cells
+        if self.factorization is not None or self.mode != "same":
+            return None
+        r = len(self.stencil) // 2
+        if 4 * k * r + 2 > n or self.left[r:].any() or self.right[:-r].any():
+            return None
+        composed = self.stencil
+        for _ in range(k - 1):
+            composed = np.convolve(composed, self.stencil)
+        left_map, left_inflow = _strip_block(self.stencil, self.left, k)
+        right_map, right_inflow = _strip_block(self.stencil[::-1], self.right[::-1], k)
+        return (composed, left_map, left_inflow,
+                right_map[::-1, ::-1].copy(), right_inflow[::-1].copy())
+
+
+def _strip_block(
+    stencil: np.ndarray, inflow: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M, G) of ``steps`` = k explicit steps on the W = 2 k r + 1 nodes
+    nearest the left end, r the stencil's reach.
+
+    With A the strip's one-step map (row 0 zero, the stencil on rows
+    1..W-1) and a = e_0 + (0, inflow[:W-1]) the column that carries g_L
+    in, M = (A^k)[1:k r+1] and G[:, j] = (A^(k-1-j) a)[1:k r+1], so nodes
+    1..k r after the k steps are M C[:W] + G (g_L of each step): the
+    truncation at the strip's far end reaches only k r nodes inward.
+    """
+    reach = len(stencil) // 2
+    width = 2 * steps * reach + 1
+    step = sum(tap * np.eye(width, k=j - reach) for j, tap in enumerate(stencil))
+    step[0] = 0.0
+    column = np.concatenate(([1.0], inflow[: width - 1]))
+    inflow_block = np.empty((steps * reach, steps))
+    for j in reversed(range(steps)):
+        inflow_block[:, j] = column[1 : steps * reach + 1]
+        column = step @ column
+    return np.linalg.matrix_power(step, steps)[1 : steps * reach + 1], inflow_block
 
 
 def step_plan(cfg: SchemeConfig, dt: float, grid: Grid1D) -> StepPlan:

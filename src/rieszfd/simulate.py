@@ -145,10 +145,12 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
 def run(config: SimulationConfig) -> SnapshotSeries:
     """Advance the field from t = 0 past t_end, recording snapshots.
 
-    Deterministic: identical configs produce bit-identical series, equal
-    to stepping ``implicit_step`` by hand with a plan of the same dt.  An
-    unstable explicit dt or a step count past the budget is refused before
-    anything is built.  One ``step_plan`` of the run's grid is built once;
+    Deterministic: identical configs produce bit-identical series.  They
+    equal stepping ``implicit_step`` by hand with a plan of the same dt,
+    bit for bit, or to rounding where ``StepPlan.advance`` blocks (an
+    explicit short stencil, alpha = 2 at N >= 130).  An unstable explicit
+    dt or a step count past the budget is refused before anything is
+    built.  One ``step_plan`` of the run's grid is built once;
     one ``StepPlan.advance`` call per recorded step then carries bare
     arrays there, and only the recorded ones become ``FieldState``s.
     """
@@ -197,7 +199,8 @@ def snapshot_error(
     ``oracle(x, t)`` evaluates the reference solution on node coordinates.
     ``l2rel`` divides by the oracle norm; ``linf`` is the max abs error.
     ``x_window`` restricts the comparison to nodes inside [lo, hi]; a
-    window that holds no node raises ConfigInvalid.
+    window that holds no node, or with ``l2rel`` one where the oracle is
+    zero on every node, raises ConfigInvalid.
     """
     state = series.nearest(time)
     xs = state.grid.nodes()
@@ -210,7 +213,11 @@ def snapshot_error(
     if norm == "l2rel":
         ref_norm = float(np.sqrt(np.sum(reference**2)))
         if ref_norm == 0.0:
-            raise ZeroDivisionError("oracle is identically zero; use norm='linf'")
+            where = "the grid" if x_window is None else f"x_window {x_window}"
+            raise ConfigInvalid(
+                f"the oracle is zero on every node of {where} at t = {state.time}; "
+                "l2rel has no scale there (use norm='linf' or another window)"
+            )
         return float(np.sqrt(np.sum(diff**2))) / ref_norm
     if norm == "linf":
         return float(np.max(np.abs(diff)))

@@ -473,6 +473,15 @@ class TestCli:
         assert main(["converge", "--config", str(config_path), "--levels", "8"]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_converge_window_where_the_oracle_is_zero_exits_2(self, tmp_path, capsys):
+        # the heat kernel at t = 0.05 is exp(-405) on [9, 10]: zero in floats
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(fig2_document(n_cells=50, t_end=0.05, snapshots=[0.05])))
+        assert main(["converge", "--config", str(config_path), "--levels", "0",
+                     "--window", "9", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "x_window (9.0, 10.0)" in err and "t = 0.05" in err
+
 
 def _package_imports(path: Path) -> set[str]:
     """The modules of the package that the module at ``path`` imports."""

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -452,3 +453,88 @@ class TestAdvance:
     def test_scalar_weight_memory_does_not_grow_with_the_offset(self):
         params = validate_params(1.5, 0.3)
         assert _peak_bytes(lambda: weight(10**7, params)) < 2**20
+
+
+def _heat_plan(n, sigma=1.0, alpha=2.0, bc_left=BoundarySpec.constant(0.0),
+               bc_right=BoundarySpec.constant(0.0)):
+    params = validate_params(alpha, 0.0)
+    grid = build_grid(-10.0, 10.0, n)
+    dt = 0.9 * max_stable_dt(params, 1.0, grid.h)
+    cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=sigma, bc_left=bc_left, bc_right=bc_right)
+    return step_plan(cfg, dt, grid)
+
+
+def _one_step_at_a_time(plan, values, f, steps):
+    for g in range(f, f + steps):
+        values = plan.advance(values, g)
+    return values
+
+
+class TestBlockedAdvance:
+    """alpha = 2 at N >= 130: advance takes _BLOCK_STEPS steps per correlation."""
+
+    @pytest.mark.parametrize("n", [130, 200, 1000])
+    @pytest.mark.parametrize("boundaries", ["constant", "tables"])
+    @pytest.mark.parametrize("f, steps", [(7, 100), (0, 4200)])
+    def test_agrees_with_one_step_calls_to_rounding(self, n, boundaries, f, steps):
+        # 100 steps are three blocks and four single steps; 4200 steps
+        # cross the 4096-step segment, whose tail of 104 steps blocks again
+        assert steps % rieszfd.schemes._BLOCK_STEPS != 0
+        if boundaries == "constant":
+            bcs = BoundarySpec.constant(0.7), BoundarySpec.constant(-1.3)
+        else:
+            dt = _heat_plan(n).dt
+            bcs = (BoundarySpec.time_table([(0.0, 1.0), (3000 * dt, -0.5)]),
+                   BoundarySpec.time_table([(0.0, 0.0), (50 * dt, 2.0), (2000 * dt, 0.5)]))
+        plan = _heat_plan(n, bc_left=bcs[0], bc_right=bcs[1])
+        assert plan._blocks is not None
+        values = np.exp(-plan.grid.nodes() ** 2) + np.sin(plan.grid.nodes())
+        blocked = plan.advance(values, f, steps)
+        stepped = _one_step_at_a_time(plan, values, f, steps)
+        assert np.max(np.abs(blocked - stepped)) <= 1e-13 * np.max(np.abs(stepped))
+        assert blocked[0] == stepped[0] and blocked[-1] == stepped[-1]
+
+    def test_delta_spreads_one_node_a_step_and_stays_nonnegative(self):
+        plan = _heat_plan(1000)
+        values = np.zeros(1001)
+        values[500] = 1.0 / plan.grid.h
+        values = plan.advance(values, 0, 40)
+        assert np.all(values >= 0.0)
+        far = np.abs(np.arange(1001) - 500) > 40
+        assert np.all(values[far] == 0.0) and np.all(values[~far] > 0.0)
+
+    @pytest.mark.parametrize("n, sigma, alpha", [(200, 1.0, 1.5), (200, 0.5, 2.0), (129, 1.0, 2.0)])
+    def test_other_plans_step_bit_for_bit_like_one_step_calls(self, n, sigma, alpha):
+        # a long stencil, a solve or too few nodes for two strips: no blocks
+        plan = _heat_plan(n, sigma=sigma, alpha=alpha, bc_left=BoundarySpec.constant(0.4))
+        values = np.exp(-plan.grid.nodes() ** 2)
+        got = plan.advance(values, 3, 70)
+        assert plan._blocks is None
+        assert np.array_equal(got, _one_step_at_a_time(plan, values, 3, 70))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_boundary_column_past_the_stencil_is_not_blocked(self, side):
+        # the blocks leave a boundary column out of every node more than
+        # k r from its end: a plan whose column reaches further steps one
+        # step at a time, bit for bit
+        plan = _heat_plan(200, bc_left=BoundarySpec.constant(0.4),
+                          bc_right=BoundarySpec.constant(-0.6))
+        column = np.zeros(199)
+        column[100] = 0.01  # node 101 of 200
+        plan = dataclasses.replace(plan, **{side: column})
+        values = np.exp(-plan.grid.nodes() ** 2)
+        got = plan.advance(values, 0, 70)
+        assert plan._blocks is None
+        assert np.array_equal(got, _one_step_at_a_time(plan, values, 0, 70))
+
+    def test_block_data_is_built_only_for_a_full_block(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("block data built")
+
+        monkeypatch.setattr(rieszfd.schemes, "_strip_block", refuse)
+        plan = _heat_plan(200)
+        values = np.exp(-plan.grid.nodes() ** 2)
+        plan.advance(values, 0)
+        plan.advance(values, 0, rieszfd.schemes._BLOCK_STEPS - 1)
+        with pytest.raises(AssertionError, match="block data built"):
+            plan.advance(values, 0, rieszfd.schemes._BLOCK_STEPS)

@@ -323,6 +323,17 @@ class TestSnapshotError:
         with pytest.raises(ConfigInvalid, match="x_window"):
             snapshot_error(series, kernel, 0.05, norm, x_window=window)
 
+    def test_window_where_the_oracle_is_zero_is_refused_for_l2rel(self):
+        # at t = 0.05 the heat kernel is exp(-405) at x = 9: zero in floats
+        # on every node of [9, 10], so l2rel has nothing to divide by
+        scheme = SchemeConfig(params=validate_params(2.0, 0.0), k_alpha=1.0)
+        series = run(SimulationConfig(grid=build_grid(-10.0, 10.0, 50), scheme=scheme,
+                                      initial=InitialCondition.delta(), t_end=0.05))
+        kernel = AnalyticKernel("gauss_alpha2", 1.0)
+        with pytest.raises(ConfigInvalid, match=r"x_window \(9\.0, 10\.0\) at t = 0\.05"):
+            snapshot_error(series, kernel, 0.05, "l2rel", x_window=(9.0, 10.0))
+        assert snapshot_error(series, kernel, 0.05, "linf", x_window=(9.0, 10.0)) >= 0.0
+
     def test_window_restricts_nodes(self):
         cfg = small_config(alpha=2.0, t_end=0.05)
         series = run(cfg)
