@@ -39,7 +39,7 @@ class WindowTooSmall(ValidationError):
 
 
 class UnstableTimestep(ValidationError):
-    """Explicit time step at or above the positivity bound."""
+    """Time step at or above the stability bound of its sigma."""
 
 
 class DimensionMismatch(ValidationError):

@@ -11,8 +11,9 @@ Every coefficient of a step is fixed for a run, so ``step_plan`` builds
 them once from the grid, in O(N) memory, and below sigma = 1 factors the
 interior Toeplitz system; a step is then one correlation that writes the
 new state node by node, an axpy per nonzero boundary value and an
-O(N log N) solve.  An explicit plan with a short stencil (alpha = 2 at
-N >= 130) takes ``_BLOCK_STEPS`` steps per correlation instead.
+O(N log N) solve.  An explicit plan with the symmetric three-point
+stencil (alpha = 2 at N >= 130) takes ``_BLOCK_STEPS`` steps per
+correlation instead, over the state extended oddly about both ends.
 ``rf_apply_bounded`` and ``assemble_system`` are the dense reference the
 tests and ``verify`` compare with: given only the state and the scheme's
 parameters, they tabulate the same weights and tails for the state's
@@ -135,11 +136,12 @@ class StepPlan:
     ``factorization`` is T's (None at sigma = 1, T = I).  ``advance``
     takes any number of steps in one call, the same arithmetic in the same
     order as that many one-step calls, except where it blocks: an explicit
-    plan with a "same" stencil of reach r and 4 r ``_BLOCK_STEPS`` + 2 <= N
-    takes full blocks of ``_BLOCK_STEPS`` steps as one correlation with
-    the composed stencil, the nodes near each end from precomputed strip
-    maps.  Blocked steps agree with one-step calls to rounding, and the
-    same call repeated gives the same bits.
+    plan with a symmetric three-tap stencil, no boundary column and
+    4 ``_BLOCK_STEPS`` + 2 <= N takes full blocks of ``_BLOCK_STEPS`` steps
+    by the method of images, as one correlation of the composed stencil
+    over the state extended oddly about both ends plus one small matrix
+    that carries the end values in.  Blocked steps agree with one-step
+    calls to rounding, and the same call repeated gives the same bits.
     """
 
     grid: Grid1D
@@ -194,68 +196,49 @@ class StepPlan:
     def _march_blocks(
         self, values: np.ndarray, g_lefts: np.ndarray, g_rights: np.ndarray
     ) -> np.ndarray:
-        """Whole blocks of ``_BLOCK_STEPS`` steps at the boundary values
-        ``g_lefts``/``g_rights``, one per step, from ``_blocks``."""
-        composed, left_map, left_inflow, right_map, right_inflow = self._blocks
-        width, edge = left_map.shape[1], len(left_map) + 1
-        # row b: what the boundary values of block b carry into each strip
-        lefts = g_lefts.reshape(-1, _BLOCK_STEPS) @ left_inflow.T
-        rights = g_rights.reshape(-1, _BLOCK_STEPS) @ right_inflow.T
-        for b, last in enumerate(range(_BLOCK_STEPS - 1, len(g_lefts), _BLOCK_STEPS)):
-            new = np.correlate(values, composed, "same")
-            new[1:edge] = left_map.dot(values[:width]) + lefts[b]
-            new[-edge:-1] = right_map.dot(values[-width:]) + rights[b]
-            new[0], new[-1] = g_lefts[last], g_rights[last]
-            values = new
+        """Whole blocks of ``_BLOCK_STEPS`` = k steps at the boundary values
+        ``g_lefts``/``g_rights``, one per step, by the method of images.
+
+        Holding an end node at zero steps a symmetric stencil like the free
+        step of the state extended oddly about that node.  So a block is one
+        correlation of the composed stencil over (-C_k, ..., -C_1, 0, C_1,
+        ..., C_(N-1), 0, -C_(N-1), ..., -C_(N-k)), plus the end values its
+        steps read, (C_0, g_0, ..., g_(k-2)), carried onto nodes 1..k by
+        ``inflow`` (and mirrored onto nodes N-1..N-k)."""
+        k = _BLOCK_STEPS
+        composed, inflow = self._blocks
+        # row b: what the end values that block b reads add to its k end nodes
+        lefts = np.concatenate(([values[0]], g_lefts[:-1])).reshape(-1, k) @ inflow.T
+        rights = np.concatenate(([values[-1]], g_rights[:-1])).reshape(-1, k) @ inflow.T
+        for b, last in enumerate(range(k - 1, len(g_lefts), k)):
+            extended = np.concatenate(
+                (-values[k:0:-1], [0.0], values[1:-1], [0.0], -values[-2 : -k - 2 : -1])
+            )
+            values = np.correlate(extended, composed, "valid")
+            values[1 : k + 1] += lefts[b]
+            values[-2 : -k - 2 : -1] += rights[b]
+            values[0], values[-1] = g_lefts[last], g_rights[last]
         return values
 
     @cached_property
-    def _blocks(self) -> tuple[np.ndarray, ...] | None:
-        """The data of ``_BLOCK_STEPS`` = k explicit steps at once, built
-        on the first ``advance`` call that takes that many: the k-fold
-        composed stencil and, for the left and then the right strip, the
-        (M, G) of ``_strip_block``, the right pair mirrored onto ascending
-        nodes.  None unless the plan is explicit with a "same" stencil of
-        reach r, 4 k r + 2 <= N and no boundary column reaches past r
-        nodes from its end: then nodes more than k r from both ends see no
-        boundary within k steps, and the rest only their strip."""
-        k, n = _BLOCK_STEPS, self.grid.n_cells
-        if self.factorization is not None or self.mode != "same":
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(composed, inflow) of ``_BLOCK_STEPS`` = k explicit steps at
+        once, built on the first ``advance`` call that takes that many: the
+        k-fold composed stencil P_k and the k x k matrix with
+        inflow[m-1, i] = s_-1 (P_(k-1-i)[m-1] - P_(k-1-i)[m+1]), P_j the
+        j-fold composed stencil s on the offsets -j..j.  None unless the
+        plan is explicit with a symmetric three-tap stencil s, no boundary
+        column and 4 k + 2 <= N, which keeps the k images and k inflow
+        nodes of one end far from the other end."""
+        k, s = _BLOCK_STEPS, self.stencil
+        if (self.factorization is not None or len(s) != 3 or s[0] != s[2]
+                or self.left.any() or self.right.any() or 4 * k + 2 > self.grid.n_cells):
             return None
-        r = len(self.stencil) // 2
-        if 4 * k * r + 2 > n or self.left[r:].any() or self.right[:-r].any():
-            return None
-        composed = self.stencil
-        for _ in range(k - 1):
-            composed = np.convolve(composed, self.stencil)
-        left_map, left_inflow = _strip_block(self.stencil, self.left, k)
-        right_map, right_inflow = _strip_block(self.stencil[::-1], self.right[::-1], k)
-        return (composed, left_map, left_inflow,
-                right_map[::-1, ::-1].copy(), right_inflow[::-1].copy())
-
-
-def _strip_block(
-    stencil: np.ndarray, inflow: np.ndarray, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(M, G) of ``steps`` = k explicit steps on the W = 2 k r + 1 nodes
-    nearest the left end, r the stencil's reach.
-
-    With A the strip's one-step map (row 0 zero, the stencil on rows
-    1..W-1) and a = e_0 + (0, inflow[:W-1]) the column that carries g_L
-    in, M = (A^k)[1:k r+1] and G[:, j] = (A^(k-1-j) a)[1:k r+1], so nodes
-    1..k r after the k steps are M C[:W] + G (g_L of each step): the
-    truncation at the strip's far end reaches only k r nodes inward.
-    """
-    reach = len(stencil) // 2
-    width = 2 * steps * reach + 1
-    step = sum(tap * np.eye(width, k=j - reach) for j, tap in enumerate(stencil))
-    step[0] = 0.0
-    column = np.concatenate(([1.0], inflow[: width - 1]))
-    inflow_block = np.empty((steps * reach, steps))
-    for j in reversed(range(steps)):
-        inflow_block[:, j] = column[1 : steps * reach + 1]
-        column = step @ column
-    return np.linalg.matrix_power(step, steps)[1 : steps * reach + 1], inflow_block
+        composed, powers = np.ones(1), np.zeros((k, k + 2))
+        for j in reversed(range(k)):  # row j: P_(k-1-j) on the offsets 0..k+1
+            powers[j, : k - j] = composed[k - 1 - j :]
+            composed = np.convolve(composed, s)
+        return composed, s[0] * (powers[:, :k] - powers[:, 2:]).T
 
 
 def step_plan(cfg: SchemeConfig, dt: float, grid: Grid1D) -> StepPlan:

@@ -108,9 +108,11 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
     A fixed policy uses the given dt unchanged and steps until t >= t_end.
     A step count past ``_STEP_BUDGET`` (10**8) raises ConfigInvalid.
 
-    This is the run's one stability check: at sigma = 1 a dt at or above
-    the explicit bound raises UnstableTimestep.  There is no override; a
-    ``step_plan`` stepped by hand is never checked against the bound.
+    This is the run's one stability check: above sigma = 1/2 a dt at or
+    above bound / (2 sigma - 1), bound the explicit one, raises
+    UnstableTimestep; at sigma = 1 that is the explicit bound itself, and
+    sigma <= 1/2 is stable at any dt.  The rule is sufficient, not sharp.
+    There is no override; a ``step_plan`` stepped by hand is never checked.
     """
     policy = config.dt_policy
     scheme = config.scheme
@@ -137,8 +139,12 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
             if aligned <= _ALIGN_STEP_CAP:
                 n = aligned
         dt = config.t_end / n
-    if scheme.sigma == 1.0 and dt >= bound:
-        raise UnstableTimestep(f"dt={dt} is at or above the explicit bound {bound}; reduce dt")
+    limit = bound / (2.0 * scheme.sigma - 1.0) if scheme.sigma > 0.5 else math.inf
+    if dt >= limit:
+        raise UnstableTimestep(
+            f"dt={dt} is at or above the stability bound {limit} of sigma={scheme.sigma}, "
+            f"the explicit bound {bound} / (2 sigma - 1); reduce dt"
+        )
     return dt, n
 
 
@@ -147,12 +153,15 @@ def run(config: SimulationConfig) -> SnapshotSeries:
 
     Deterministic: identical configs produce bit-identical series.  They
     equal stepping ``implicit_step`` by hand with a plan of the same dt,
-    bit for bit, or to rounding where ``StepPlan.advance`` blocks (an
-    explicit short stencil, alpha = 2 at N >= 130).  An unstable explicit
-    dt or a step count past the budget is refused before anything is
-    built.  One ``step_plan`` of the run's grid is built once;
-    one ``StepPlan.advance`` call per recorded step then carries bare
-    arrays there, and only the recorded ones become ``FieldState``s.
+    bit for bit, or to rounding where ``StepPlan.advance`` blocks (the
+    explicit three-point stencil of alpha = 2 at N >= 130, marched by the
+    method of images).  An unstable dt for the run's sigma or a step count
+    past the budget is refused before anything is built.  One
+    ``step_plan`` of the run's grid is built once; one
+    ``StepPlan.advance`` call per recorded step then carries bare arrays
+    there, and only the recorded ones become ``FieldState``s.  A recorded
+    state with a non-finite value raises FloatingPointError, so no run
+    returns one.
     """
     dt, n_steps = resolve_dt(config)
     grid = config.grid
@@ -171,6 +180,8 @@ def run(config: SimulationConfig) -> SnapshotSeries:
     values, done = state.values, 0
     for f in sorted(wanted):
         values, done = plan.advance(values, done, f - done), f
+        if not np.isfinite(values).all():
+            raise FloatingPointError(f"the state after step {f} of {n_steps} is not finite")
         recorded.append(FieldState(grid=grid, values=values, time=dt * f, step_index=f))
     return SnapshotSeries(config=config, dt=dt, snapshots=tuple(recorded))
 

@@ -388,6 +388,27 @@ class TestCli:
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_simulate_unstable_dt_below_sigma_one_exits_2(self, tmp_path, capsys):
+        # sigma = 0.9 at 12 times the explicit bound: the state grows without limit
+        doc = fig2_document(n_cells=200, sigma=0.9, dt=0.06, t_end=24.0, snapshots=[24.0])
+        del doc["dt_safety"]
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(doc))
+        target = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--out", str(target)]) == 2
+        assert "stability bound" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_simulate_refuses_a_non_finite_state(self, tmp_path, capsys, monkeypatch):
+        # a dt past the bound that resolve_dt would refuse: the state overflows
+        monkeypatch.setattr(rieszfd.simulate, "resolve_dt", lambda config: (0.01, 2000))
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(fig2_document(n_cells=200, t_end=20.0, snapshots=[])))
+        target = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--out", str(target)]) == 1
+        assert "FloatingPointError" in capsys.readouterr().err
+        assert not target.exists()
+
     @pytest.mark.parametrize("override, key", NON_FINITE_INPUTS)
     def test_simulate_non_finite_inputs_exit_2(self, tmp_path, capsys, override, key):
         config_path = tmp_path / "run.json"

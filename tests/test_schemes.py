@@ -470,6 +470,25 @@ def _one_step_at_a_time(plan, values, f, steps):
     return values
 
 
+def _forged_heat_plan(**fields):
+    plan = _heat_plan(200, bc_left=BoundarySpec.constant(0.4),
+                      bc_right=BoundarySpec.constant(-0.6))
+    return dataclasses.replace(plan, **fields)
+
+
+def _column_at(node):
+    column = np.zeros(199)
+    column[node - 1] = 0.01
+    return column
+
+
+def _assert_not_blocked(plan):
+    values = np.exp(-plan.grid.nodes() ** 2)
+    got = plan.advance(values, 0, 70)
+    assert plan._blocks is None
+    assert np.array_equal(got, _one_step_at_a_time(plan, values, 0, 70))
+
+
 class TestBlockedAdvance:
     """alpha = 2 at N >= 130: advance takes _BLOCK_STEPS steps per correlation."""
 
@@ -505,7 +524,7 @@ class TestBlockedAdvance:
 
     @pytest.mark.parametrize("n, sigma, alpha", [(200, 1.0, 1.5), (200, 0.5, 2.0), (129, 1.0, 2.0)])
     def test_other_plans_step_bit_for_bit_like_one_step_calls(self, n, sigma, alpha):
-        # a long stencil, a solve or too few nodes for two strips: no blocks
+        # a long stencil, a solve or too few nodes: no blocks
         plan = _heat_plan(n, sigma=sigma, alpha=alpha, bc_left=BoundarySpec.constant(0.4))
         values = np.exp(-plan.grid.nodes() ** 2)
         got = plan.advance(values, 3, 70)
@@ -514,27 +533,44 @@ class TestBlockedAdvance:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_a_boundary_column_past_the_stencil_is_not_blocked(self, side):
-        # the blocks leave a boundary column out of every node more than
-        # k r from its end: a plan whose column reaches further steps one
-        # step at a time, bit for bit
-        plan = _heat_plan(200, bc_left=BoundarySpec.constant(0.4),
-                          bc_right=BoundarySpec.constant(-0.6))
-        column = np.zeros(199)
-        column[100] = 0.01  # node 101 of 200
-        plan = dataclasses.replace(plan, **{side: column})
-        values = np.exp(-plan.grid.nodes() ** 2)
-        got = plan.advance(values, 0, 70)
-        assert plan._blocks is None
-        assert np.array_equal(got, _one_step_at_a_time(plan, values, 0, 70))
+        # the odd extension holds both ends at zero, so it has no place for
+        # a boundary column: a plan with one steps one step at a time
+        _assert_not_blocked(_forged_heat_plan(**{side: _column_at(101)}))
 
-    def test_block_data_is_built_only_for_a_full_block(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("block data built")
+    @pytest.mark.parametrize("side, node", [("left", 1), ("right", 199)])
+    def test_a_boundary_column_next_to_its_end_is_not_blocked(self, side, node):
+        _assert_not_blocked(_forged_heat_plan(**{side: _column_at(node)}))
 
-        monkeypatch.setattr(rieszfd.schemes, "_strip_block", refuse)
+    def test_an_asymmetric_stencil_is_not_blocked(self):
+        # an odd extension steps like a held end only for a symmetric stencil
+        _assert_not_blocked(_forged_heat_plan(stencil=np.array([0.5, 0.1, 0.4])))
+
+    def test_block_data_is_built_only_for_a_full_block(self):
         plan = _heat_plan(200)
         values = np.exp(-plan.grid.nodes() ** 2)
         plan.advance(values, 0)
         plan.advance(values, 0, rieszfd.schemes._BLOCK_STEPS - 1)
-        with pytest.raises(AssertionError, match="block data built"):
-            plan.advance(values, 0, rieszfd.schemes._BLOCK_STEPS)
+        assert "_blocks" not in plan.__dict__
+        plan.advance(values, 0, rieszfd.schemes._BLOCK_STEPS)
+        assert "_blocks" in plan.__dict__
+
+    @pytest.mark.parametrize("n", [130, 1000])
+    @pytest.mark.parametrize("boundaries", ["zero", "tables"])
+    def test_data_at_an_end_stays_nonnegative_without_negative_zeros(self, n, boundaries):
+        # the images subtract the mirrored state; box data on nodes 0..9
+        # must still give no negative node and no -0.0, whole blocks or not
+        bcs = BoundarySpec.constant(0.0), BoundarySpec.constant(0.0)
+        if boundaries == "tables":
+            dt = _heat_plan(n).dt
+            bcs = (BoundarySpec.time_table([(0.0, 0.0), (40 * dt, 2.0), (200 * dt, 0.0)]),
+                   BoundarySpec.time_table([(0.0, 1.0), (100 * dt, 0.0)]))
+        plan = _heat_plan(n, bc_left=bcs[0], bc_right=bcs[1])
+        assert plan._blocks is not None
+        values = np.zeros(n + 1)
+        values[:10] = 1.0
+        k = rieszfd.schemes._BLOCK_STEPS
+        for blocks in range(1, 13):
+            for steps in (k * blocks, k * blocks + 7):
+                got = plan.advance(values, 0, steps)
+                assert np.all(got >= 0.0)
+                assert not np.any(np.signbit(got[got == 0.0]))

@@ -16,6 +16,7 @@ from rieszfd import (
     NoSuchSnapshot,
     SchemeConfig,
     SimulationConfig,
+    UnstableTimestep,
     build_grid,
     mass,
     max_stable_dt,
@@ -86,6 +87,29 @@ class TestResolveDt:
         cfg = small_config(policy=DtPolicy.fixed(0.5), t_end=0.1, sigma=0.0)
         dt, n = resolve_dt(cfg)
         assert dt == 0.5 and n == 1
+
+    @pytest.mark.parametrize("sigma", [0.6, 0.75, 0.9])
+    def test_every_sigma_above_one_half_checks_its_bound(self, sigma):
+        # alpha = 2, N = 200: the bound / (2 sigma - 1) is sharp there, so
+        # a delta stays bounded over 2000 steps at 0.9 of it and grows
+        # without limit at 1.1 of it
+        params = validate_params(2.0, 0.0)
+        grid = build_grid(-10.0, 10.0, 200)
+        threshold = max_stable_dt(params, 1.0, grid.h) / (2.0 * sigma - 1.0)
+        scheme = SchemeConfig(params=params, k_alpha=1.0, sigma=sigma)
+        delta = sample_initial(InitialCondition.delta(), grid).values
+        for factor in (0.9, 1.1):
+            dt = factor * threshold
+            config = SimulationConfig(grid=grid, scheme=scheme, initial=InitialCondition.delta(),
+                                      t_end=2000 * dt, dt_policy=DtPolicy.fixed(dt))
+            final = step_plan(scheme, dt, grid).advance(delta, 0, 2000)
+            if factor < 1.0:
+                assert resolve_dt(config)[0] == dt
+                assert np.max(np.abs(final)) < 0.15
+            else:
+                with pytest.raises(UnstableTimestep, match=f"sigma={sigma}"):
+                    resolve_dt(config)
+                assert not np.max(np.abs(final)) < 1e10
 
     def test_refuses_runaway_step_count_before_building_anything(self, monkeypatch):
         def no_table(*args):
