@@ -159,7 +159,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, required=True)
     p.set_defaults(func=_cmd_weights)
 
-    p = sub.add_parser("stability", help="print the explicit time-step bound")
+    p = sub.add_parser(
+        "stability",
+        help="print the explicit (sigma = 1) time-step bound",
+        description="Print the explicit (sigma = 1) time-step bound -h^alpha / (K w_0). "
+        "For 1/2 < sigma < 1, simulate refuses dt >= bound / (2 sigma - 1); "
+        "sigma <= 1/2 is stable at any dt.",
+    )
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--k-alpha", type=float, required=True)

@@ -200,7 +200,6 @@ class WeightTable:
     ``schemes.step_plan`` tabulates its own weights.
     """
 
-    params: FractionalParams
     k_min: int
     weights: np.ndarray
 
@@ -236,7 +235,7 @@ def weight_table(params: FractionalParams, k_min: int, k_max: int) -> WeightTabl
         raise ValueError(f"window [{k_min}, {k_max}] must contain 0")
     values = _weights(np.arange(k_min, k_max + 1), params)
     values.setflags(write=False)
-    return WeightTable(params, int(k_min), values)
+    return WeightTable(int(k_min), values)
 
 
 def _tail_core(j: np.ndarray, params: FractionalParams) -> np.ndarray:

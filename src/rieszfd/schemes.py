@@ -110,28 +110,16 @@ def _implicit_ratio(cfg: SchemeConfig, dt: float, h: float) -> float:
     return (cfg.sigma - 1.0) * cfg.k_alpha * dt / h**cfg.params.alpha
 
 
-def _node_stencil(weights: np.ndarray) -> tuple[np.ndarray, str]:
-    """w_-r, ..., w_r from an N-cell grid's weights w_-(N-1), ..., w_(N-1),
-    r = min(K, N-1) for K the largest |k| of a nonzero weight and at least
-    1, and the ``np.correlate`` mode that gives one output per node: "same"
-    while 2r+1 <= N+1, else "valid" on the stencil zero-extended to 2N+1."""
-    n = len(weights) // 2 + 1
-    offsets = np.abs(np.arange(1 - n, n))[weights != 0.0]
-    reach = max(1, int(offsets.max(initial=0)))
-    r = min(reach, n - 1)
-    stencil = weights[n - 1 - r : n + r]
-    return (stencil, "same") if 2 * r + 1 <= n + 1 else (np.pad(stencil, n - r), "valid")
-
-
 @dataclass(frozen=True)
 class StepPlan:
     """Every coefficient of a sigma-weighted step on one grid.
 
     With r = K dt / h**alpha the step solves T C^{f+1} = P C^f + g_L left
     + g_R right on the interior nodes, T = I + (sigma - 1) r W and
-    P = I + sigma r W.  ``stencil`` is P's row trimmed to its reach, with
-    the ``np.correlate`` ``mode`` that gives one output per node (None and
-    "" at sigma = 0, P = I); ``left``/``right`` are r s_L(i)/r s_R(N-i)
+    P = I + sigma r W.  ``stencil`` is P's row: the three points of k =
+    -1..1 at alpha = 2, where every other weight is zero, and otherwise
+    all of k = -(N-1)..N-1 with one zero at each end (None at sigma = 0,
+    P = I); ``left``/``right`` are r s_L(i)/r s_R(N-i)
     minus T's Dirichlet columns (sigma - 1) r w_{-i}/w_{N-i};
     ``factorization`` is T's (None at sigma = 1, T = I).  ``advance``
     takes any number of steps in one call, the same arithmetic in the same
@@ -149,7 +137,6 @@ class StepPlan:
     bc_left: BoundarySpec
     bc_right: BoundarySpec
     stencil: np.ndarray | None
-    mode: str
     left: np.ndarray
     right: np.ndarray
     factorization: ToeplitzFactorization | TridiagonalFactorization | None
@@ -181,8 +168,9 @@ class StepPlan:
             for g_left, g_right in zip(g_lefts[blocked:].tolist(), g_rights[blocked:].tolist()):
                 if self.stencil is None:
                     new = values.copy()
-                else:
-                    new = np.correlate(values, self.stencil, self.mode)
+                else:  # one output per node: "valid" for a stencil longer than the state
+                    mode = "same" if self.stencil.size <= n + 1 else "valid"
+                    new = np.correlate(values, self.stencil, mode)
                 if g_left != 0.0:
                     new[1:-1] += g_left * self.left
                 if g_right != 0.0:
@@ -245,10 +233,11 @@ def step_plan(cfg: SchemeConfig, dt: float, grid: Grid1D) -> StepPlan:
     """Build the coefficients of a step of size dt on ``grid`` once per run.
 
     Tabulates w_k over exactly the offsets the grid reads, [-(N-1), N-1],
-    and the interior tail sums, in O(N) memory; ``_node_stencil`` trims
-    the fused stencil.  T is factored only below sigma = 1.  dt must be
-    positive and finite (ValueError otherwise); it is not compared with
-    the explicit bound, so a plan may step past it.
+    and the interior tail sums, in O(N) memory.  The fused stencil reads
+    w_-1..w_1 at alpha = 2 and every tabulated weight below it, where the
+    weights decay like |k|**(-1-alpha).  T is factored only below sigma =
+    1.  dt must be positive and finite (ValueError otherwise); it is not
+    compared with the explicit bound, so a plan may step past it.
     """
     n, h = grid.n_cells, grid.h
     ratio = _implicit_ratio(cfg, dt, h)
@@ -265,15 +254,15 @@ def step_plan(cfg: SchemeConfig, dt: float, grid: Grid1D) -> StepPlan:
         first_col[0] += 1.0
         first_row[0] += 1.0
         factorization = toeplitz_factor(first_col, first_row)
-    stencil, mode = None, ""
+    stencil = None
     if cfg.sigma != 0.0:
-        stencil, mode = _node_stencil(weights)
+        stencil = weights[n - 2 : n + 1] if cfg.params.alpha == 2.0 else np.pad(weights, 1)
         stencil = cfg.sigma * r * stencil
         stencil[len(stencil) // 2] += 1.0
         stencil.setflags(write=False)
     left.setflags(write=False)
     right.setflags(write=False)
-    return StepPlan(grid, dt, cfg.bc_left, cfg.bc_right, stencil, mode, left, right, factorization)
+    return StepPlan(grid, dt, cfg.bc_left, cfg.bc_right, stencil, left, right, factorization)
 
 
 def assemble_system(

@@ -21,6 +21,12 @@ _ALIGN_STEP_CAP = 50_000_000
 # runs of more steps are refused before anything is built: 10**8 steps
 # take about ten minutes at a few microseconds a step, a day at a millisecond
 _STEP_BUDGET = 10**8
+# runs whose arrays would take more bytes than this are refused before any
+# is allocated: the initial state, every recorded one and the working set
+# of the step plan, which peaks at 93.2 arrays of N + 1 floats while
+# step_plan factors T (tracemalloc, alpha 1.5, sigma 0.5, N = 2**14, 2**16)
+_BYTE_BUDGET = 2**32
+_PLAN_ARRAYS = 94
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,9 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
     when the requested snapshot times are rational fractions of t_end, so
     are they; irrational requests fall back to nearest-step recording.
     A fixed policy uses the given dt unchanged and steps until t >= t_end.
-    A step count past ``_STEP_BUDGET`` (10**8) raises ConfigInvalid.
+    A step count past ``_STEP_BUDGET`` (10**8) raises ConfigInvalid, and
+    so does a run whose arrays, estimated at 8 (N + 1) (snapshot count + 2
+    + ``_PLAN_ARRAYS``) bytes, exceed ``_BYTE_BUDGET`` (4 GiB).
 
     This is the run's one stability check: above sigma = 1/2 a dt at or
     above bound / (2 sigma - 1), bound the explicit one, raises
@@ -114,6 +122,13 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
     sigma <= 1/2 is stable at any dt.  The rule is sufficient, not sharp.
     There is no override; a ``step_plan`` stepped by hand is never checked.
     """
+    n_cells, n_times = config.grid.n_cells, len(config.snapshot_times)
+    estimate = 8 * (n_cells + 1) * (n_times + 2 + _PLAN_ARRAYS)
+    if estimate > _BYTE_BUDGET:
+        raise ConfigInvalid(
+            f"{n_cells} cells and {n_times} snapshot times take about "
+            f"{estimate / 2**30:.3g} GiB, over the budget of {_BYTE_BUDGET / 2**30:.0f} GiB a run"
+        )
     policy = config.dt_policy
     scheme = config.scheme
     bound = max_stable_dt(scheme.params, scheme.k_alpha, config.grid.h)

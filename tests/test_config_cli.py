@@ -388,6 +388,26 @@ class TestCli:
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n_cells, n_times", [(10**9, 0), (10**5, 10**4)])
+    def test_simulate_over_the_byte_budget_exits_2(
+        self, tmp_path, capsys, monkeypatch, n_cells, n_times
+    ):
+        # run unpatched, either config would allocate about 8 GB
+        def no_allocation(*args):
+            raise AssertionError("arrays allocated for a refused run")
+
+        monkeypatch.setattr(rieszfd.simulate, "sample_initial", no_allocation)
+        monkeypatch.setattr(rieszfd.schemes, "weight_table", no_allocation)
+        times = [0.01 * (i + 1) / n_times for i in range(n_times)]
+        doc = tiny_document(n_cells=n_cells, sigma=0.0, dt=1e-3, snapshots=times)
+        del doc["dt_safety"]
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(doc))
+        target = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--out", str(target)]) == 2
+        assert "GiB, over the budget" in capsys.readouterr().err
+        assert not target.exists()
+
     def test_simulate_unstable_dt_below_sigma_one_exits_2(self, tmp_path, capsys):
         # sigma = 0.9 at 12 times the explicit bound: the state grows without limit
         doc = fig2_document(n_cells=200, sigma=0.9, dt=0.06, t_end=24.0, snapshots=[24.0])

@@ -19,7 +19,7 @@ from rieszfd import (
 )
 from rieszfd.kernel import rf_coefficients
 from rieszfd.oracles import weight_oracle
-from rieszfd.schemes import _node_stencil, rf_apply_bounded, step_plan
+from rieszfd.schemes import rf_apply_bounded, step_plan
 from conftest import sample_params
 
 # frozen 6-decimal reference weights for theta = 0
@@ -147,13 +147,13 @@ class TestWeights:
     def test_window_end_is_read_from_the_weights(self):
         # a table holds k_min and its weights; the window cannot claim more
         params = validate_params(0.5, 0.0)
-        table = WeightTable(params, -3, np.arange(7.0))
+        table = WeightTable(-3, np.arange(7.0))
         assert table.k_max == 3 and table.weight(3) == 6.0
         with pytest.raises(WindowTooSmall):
             table.weight(4)
         with pytest.raises(WindowTooSmall):
             table.application_matrix(5)  # n = 5 needs [-4, 4]
-        assert WeightTable(params, -4, np.arange(9.0)).application_matrix(5).shape == (4, 6)
+        assert WeightTable(-4, np.arange(9.0)).application_matrix(5).shape == (4, 6)
         assert weight_table(params, -5, 2).k_max == 2
 
     def test_skewed_weight_against_reconstruction(self):
@@ -191,34 +191,46 @@ class TestWeights:
 
 
 class TestApply:
-    # the step correlates with the stencil ``_node_stencil`` trims from the
-    # weights of the grid; the dense reference multiplies by
-    # application_matrix, which shares no code with it
+    # the step correlates with the plan's stencil; the dense reference
+    # multiplies by application_matrix, which shares no code with it
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
     @pytest.mark.parametrize("side", ["both", "left", "right"])
     def test_every_reach_matches_the_dense_product(self, n, side):
+        # a plan has two reaches: the three points of alpha = 2, and the
+        # whole grid of every other order, here two- or one-sided
         rng = np.random.default_rng(n)
         u = rng.standard_normal(n + 1)
-        m = n + 2  # synthetic weights reach past the N-1 the grid reads
-        ks = np.arange(-m, m + 1)
-        params = validate_params(1.5, 0.0)
-        for reach in range(1, m + 1):
-            w = np.where(np.abs(ks) <= reach, rng.uniform(0.5, 1.5, ks.size), 0.0)
-            if side == "left":
-                w[ks > 0] = 0.0
-            elif side == "right":
-                w[ks < 0] = 0.0
-            stencil, mode = _node_stencil(w[m - (n - 1) : m + n])  # w_-(N-1)..w_(N-1)
-            got = np.correlate(u, stencil, mode)
-            dense = WeightTable(params, -m, w).application_matrix(n)
+        grid = build_grid(0.0, 1.0, n)
+        pair = {"both": (1.5, 0.3), "left": (0.7, -0.7), "right": (0.7, 0.7)}[side]
+        for params in (validate_params(2.0, 0.0), validate_params(*pair)):
+            # r = dt / h**alpha = 1: one step adds W u to the interior
+            plan = step_plan(SchemeConfig(params=params, k_alpha=1.0), grid.h**params.alpha, grid)
+            got = plan.advance(u, 0)
+            dense = weight_table(params, -(n - 1), n - 1).application_matrix(n)
             tol = 1e-13 * np.max(np.abs(dense)) * np.max(np.abs(u)) * n
-            assert got.shape == (n + 1,)
-            assert np.max(np.abs(got[1:-1] - dense @ u)) <= tol
-            # trimmed to the nonzero reach on the grid, zero-extended only
-            # where "same" would not give one output per node
-            r = min(reach, n - 1)
-            assert mode == ("same" if 2 * r + 1 <= n + 1 else "valid")
-            assert stencil.size == (2 * r + 1 if mode == "same" else 2 * n + 1)
+            assert got.shape == (n + 1,) and got[0] == 0.0 and got[-1] == 0.0
+            assert np.max(np.abs(got[1:-1] - u[1:-1] - dense @ u)) <= tol
+            assert plan.stencil.size == (3 if params.alpha == 2.0 else 2 * n + 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 130, 1000])
+    @pytest.mark.parametrize(
+        "alpha, theta",
+        [(2.0, 0.0), (2.0, 1e-12), (1.9999999, 0.0), (1e-12, -1e-12),
+         (0.7, 0.7), (0.7, -0.7), (1.5, 0.3), (0.999, 0.999)],
+    )
+    def test_stencil_reach_is_read_from_alpha(self, alpha, theta, n):
+        # the weights vanish past |k| = 1 at alpha = 2 and decay like
+        # |k|**(-1-alpha) at every other order, so the plan reads its
+        # reach from alpha: three points, or the whole grid zero-padded
+        params = validate_params(alpha, theta)
+        grid = build_grid(0.0, 1.0, n)
+        plan = step_plan(SchemeConfig(params=params, k_alpha=1.0), 0.1 * grid.h**alpha, grid)
+        if alpha == 2.0:
+            weights = weight_table(params, -(n - 1), n - 1).weights
+            assert plan.stencil.size == 3
+            assert np.all(weights[: n - 2] == 0.0) and np.all(weights[n + 1 :] == 0.0)
+        else:
+            assert plan.stencil.size == 2 * n + 1
 
     def test_alpha_two_reaches_one_node(self):
         params = validate_params(2.0, 0.0)
@@ -226,7 +238,7 @@ class TestApply:
         cfg = SchemeConfig(params=params, k_alpha=1.0)
         u = np.arange(101.0) ** 2
         plan = step_plan(cfg, 1.0, grid)
-        assert plan.mode == "same" and plan.stencil.tolist() == [1.0, -1.0, 1.0]
+        assert plan.stencil.tolist() == [1.0, -1.0, 1.0]
         got = plan.advance(u, 0)
         assert (got - u)[1:-1].tolist() == [2.0] * 99
         assert rf_apply_bounded(FieldState(grid, u), 0.0, 0.0, params).tolist() == [2.0] * 99

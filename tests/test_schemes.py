@@ -364,15 +364,13 @@ class TestImplicitStep:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
     def test_node_aligned_step_at_every_reach(self, n):
-        # the plan correlates in "same" mode while 2r+1 <= N+1, r = min(K,
-        # N-1), and in "valid" mode on the zero-extended stencil beyond:
-        # alpha = 2 reaches K = 1 node, every other order the whole grid,
-        # one-sided at theta = +-alpha below 1.  TestApply covers every
-        # reach in between with synthetic weights
+        # the stencil reaches one node at alpha = 2 and the whole grid at
+        # every other order, one-sided at theta = +-alpha below 1; no
+        # stencil at sigma = 0.  Either way a step gives one value per node
         rng = np.random.default_rng(n)
         grid = build_grid(0.0, 1.0, n)
         values = rng.uniform(-1.0, 1.0, n + 1)
-        modes = set()
+        sizes = set()
         for alpha, theta in ((2.0, 0.0), (1.5, 0.3), (0.7, 0.7), (0.7, -0.7)):
             params = validate_params(alpha, theta)
             for sigma in (0.0, 0.5, 1.0):
@@ -381,13 +379,13 @@ class TestImplicitStep:
                                    sigma=sigma, bc_left=BoundarySpec.constant(0.7),
                                    bc_right=BoundarySpec.constant(-0.4))
                 plan = step_plan(cfg, dt, grid)
-                modes.add(plan.mode)
+                sizes.add(None if plan.stencil is None else plan.stencil.size)
                 got = plan.advance(values, 0)
                 state = FieldState(grid=grid, values=values)
                 expected = np.linalg.solve(*assemble_system(state, cfg, dt))
                 assert got[0] == 0.7 and got[-1] == -0.4
                 assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-        assert modes == ({"", "same"} if n == 2 else {"", "same", "valid"})
+        assert sizes == {None, 3, 2 * n + 1}
 
     def test_half_step_boundary_values_used(self):
         # time-dependent boundary: value at dt*(f + 1/2) lands on the nodes

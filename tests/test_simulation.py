@@ -125,6 +125,22 @@ class TestResolveDt:
         with pytest.raises(ConfigInvalid, match="budget"):
             resolve_dt(cfg)
 
+    @pytest.mark.parametrize("n_cells, n_times", [(10**9, 0), (10**5, 10**4)])
+    def test_refuses_a_run_over_the_byte_budget_before_allocating(
+        self, monkeypatch, n_cells, n_times
+    ):
+        # 8 GB for the initial state alone, or 8 GB of recorded states; run
+        # unpatched, either would allocate until the machine runs out
+        def no_allocation(*args):
+            raise AssertionError("arrays allocated for a refused run")
+
+        monkeypatch.setattr(rieszfd.simulate, "sample_initial", no_allocation)
+        monkeypatch.setattr(rieszfd.schemes, "weight_table", no_allocation)
+        times = tuple(0.1 * (i + 1) / n_times for i in range(n_times))
+        cfg = small_config(sigma=0.0, n_cells=n_cells, snapshots=times, policy=DtPolicy.fixed(1e-3))
+        with pytest.raises(ConfigInvalid, match=r"snapshot times take about .* GiB, over the budget"):
+            run(cfg)
+
 
 class TestRun:
     def test_first_snapshot_is_initial_condition(self):
