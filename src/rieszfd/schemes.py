@@ -12,7 +12,7 @@ them once from the grid, in O(N) memory, and below sigma = 1 factors the
 interior Toeplitz system; a step is then one correlation that writes the
 new state node by node, an axpy per nonzero boundary value and an
 O(N log N) solve.  An explicit plan with the symmetric three-point
-stencil (alpha = 2 at N >= 130) takes ``_BLOCK_STEPS`` steps per
+stencil (alpha = 2 at N >= 10) takes up to ``_BLOCK_STEPS`` steps per
 correlation instead, over the state extended oddly about both ends.
 ``rf_apply_bounded`` and ``assemble_system`` are the dense reference the
 tests and ``verify`` compare with: given only the state and the scheme's
@@ -35,7 +35,8 @@ from .kernel import FractionalParams, TailSums, weight, weight_table
 from .linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
 
 _SEGMENT_STEPS = 4096  # half steps whose boundary values advance evaluates at once
-_BLOCK_STEPS = 32  # explicit steps of a short stencil that advance takes in one correlation
+_BLOCK_STEPS = 256  # most explicit steps of a short stencil that advance takes in one correlation
+_BLOCKED_CALL_STEPS = 32  # fewest steps of a blocked advance call; a block costs 5-15 steps
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,10 @@ class StepPlan:
     minus T's Dirichlet columns (sigma - 1) r w_{-i}/w_{N-i};
     ``factorization`` is T's (None at sigma = 1, T = I).  ``advance``
     takes any number of steps in one call, the same arithmetic in the same
-    order as that many one-step calls, except where it blocks: an explicit
-    plan with a symmetric three-tap stencil, no boundary column and
-    4 ``_BLOCK_STEPS`` + 2 <= N takes full blocks of ``_BLOCK_STEPS`` steps
-    by the method of images, as one correlation of the composed stencil
-    over the state extended oddly about both ends plus one small matrix
-    that carries the end values in.  Blocked steps agree with one-step
-    calls to rounding, and the same call repeated gives the same bits.
+    order as that many one-step calls, except that an explicit plan with a
+    symmetric three-tap stencil and no boundary column takes a call of
+    ``_BLOCKED_CALL_STEPS`` or more steps in blocks, by the method of
+    images, to rounding of one-step calls; a repeated call repeats its bits.
     """
 
     grid: Grid1D
@@ -148,10 +146,8 @@ class StepPlan:
         like its float copy.  f < 0 or steps < 1 raises ValueError, and any
         shape but (N+1,) DimensionMismatch, before any work.  The boundary
         values are evaluated once per ``_SEGMENT_STEPS`` half steps, so any
-        step count takes O(N + _SEGMENT_STEPS) memory.  A plan that blocks
-        takes each segment's full blocks first and its last fewer than
-        ``_BLOCK_STEPS`` steps one at a time; its block data is built on the
-        first call with a full block, so a one-step call never builds it."""
+        step count takes O(N + _SEGMENT_STEPS) memory.  A call of fewer than
+        ``_BLOCKED_CALL_STEPS`` steps steps one at a time and builds no blocks."""
         if f < 0 or steps < 1:
             raise ValueError(f"advance needs f >= 0 and steps >= 1, got f={f}, steps={steps}")
         values, n = np.asarray(values, dtype=float), self.grid.n_cells
@@ -161,11 +157,10 @@ class StepPlan:
             half_steps = np.arange(start, min(start + _SEGMENT_STEPS, f + steps))
             g_lefts = boundary_at_half_step(self.bc_left, self.dt, half_steps)
             g_rights = boundary_at_half_step(self.bc_right, self.dt, half_steps)
-            blocked = 0
-            if len(half_steps) >= _BLOCK_STEPS and self._blocks is not None:
-                blocked = len(half_steps) // _BLOCK_STEPS * _BLOCK_STEPS
-                values = self._march_blocks(values, g_lefts[:blocked], g_rights[:blocked])
-            for g_left, g_right in zip(g_lefts[blocked:].tolist(), g_rights[blocked:].tolist()):
+            if steps >= _BLOCKED_CALL_STEPS and self._blocks is not None:
+                values = self._march_blocks(values, g_lefts, g_rights)
+                continue
+            for g_left, g_right in zip(g_lefts.tolist(), g_rights.tolist()):
                 if self.stencil is None:
                     new = values.copy()
                 else:  # one output per node: "valid" for a stencil longer than the state
@@ -181,52 +176,58 @@ class StepPlan:
                 values = new
         return values
 
+    @property
+    def _block_steps(self) -> int:  # any k <= N - 1 is exact; N / 4 caps the inflow's cost
+        return min(_BLOCK_STEPS, (self.grid.n_cells - 2) // 4)
+
     def _march_blocks(
         self, values: np.ndarray, g_lefts: np.ndarray, g_rights: np.ndarray
     ) -> np.ndarray:
-        """Whole blocks of ``_BLOCK_STEPS`` = k steps at the boundary values
-        ``g_lefts``/``g_rights``, one per step, by the method of images.
+        """Blocks of ``_block_steps`` = k steps at the boundary values
+        ``g_lefts``/``g_rights``, the first taking the r <= k steps left over.
 
         Holding an end node at zero steps a symmetric stencil like the free
-        step of the state extended oddly about that node.  So a block is one
-        correlation of the composed stencil over (-C_k, ..., -C_1, 0, C_1,
-        ..., C_(N-1), 0, -C_(N-1), ..., -C_(N-k)), plus the end values its
-        steps read, (C_0, g_0, ..., g_(k-2)), carried onto nodes 1..k by
-        ``inflow`` (and mirrored onto nodes N-1..N-k)."""
-        k = _BLOCK_STEPS
-        composed, inflow = self._blocks
-        # row b: what the end values that block b reads add to its k end nodes
-        lefts = np.concatenate(([values[0]], g_lefts[:-1])).reshape(-1, k) @ inflow.T
-        rights = np.concatenate(([values[-1]], g_rights[:-1])).reshape(-1, k) @ inflow.T
-        for b, last in enumerate(range(k - 1, len(g_lefts), k)):
-            extended = np.concatenate(
-                (-values[k:0:-1], [0.0], values[1:-1], [0.0], -values[-2 : -k - 2 : -1])
-            )
-            values = np.correlate(extended, composed, "valid")
-            values[1 : k + 1] += lefts[b]
-            values[-2 : -k - 2 : -1] += rights[b]
+        step of the state extended oddly about that node.  So an r-step
+        block correlates P_r, the r-fold composed stencil, over (-C_r, ...,
+        -C_1, 0, C_1, ..., C_(N-1), 0, -C_(N-1), ..., -C_(N-r)).  An end
+        value read j steps before a block ends adds s_-1 (P_j[m-1] -
+        P_j[m+1]) to node m; the first k - r of a short block's slots are
+        zero, so one product carries in the end values of all blocks."""
+        powers, k, n, m = self._blocks, self._block_steps, self.grid.n_cells, len(g_lefts)
+        slots = np.zeros((m + -m % k, 2))  # k per block: the end values each step reads
+        slots[-m % k :] = np.vstack((values[[0, -1]], np.column_stack((g_lefts, g_rights))[:-1]))
+        carried = np.zeros((2, len(slots) // k, k))  # what a block's end values add
+        if slots.any():
+            spread = slots.T.reshape(2, -1, k) @ powers[1:]
+            carried = self.stencil[0] * (spread[:, :, :k] - spread[:, :, 2:])
+        extended = np.zeros(n + 1 + 2 * k)  # zeros on the end nodes at k and k + N
+        for b, first in enumerate(range(-(-m % k), m, k)):  # the short block first
+            r, last = k + min(first, 0), first + k - 1
+            np.negative(values[k:0:-1], out=extended[:k])
+            extended[k + 1 : k + n] = values[1:-1]
+            np.negative(values[-2 : -k - 2 : -1], out=extended[k + n + 1 :])
+            composed = np.concatenate((powers[k - r, r:0:-1], powers[k - r, : r + 1]))
+            values = np.correlate(extended[k - r : k + n + 1 + r], composed, "valid")
+            values[1 : k + 1] += carried[0, b]
+            values[-2 : -k - 2 : -1] += carried[1, b]
             values[0], values[-1] = g_lefts[last], g_rights[last]
         return values
 
     @cached_property
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(composed, inflow) of ``_BLOCK_STEPS`` = k explicit steps at
-        once, built on the first ``advance`` call that takes that many: the
-        k-fold composed stencil P_k and the k x k matrix with
-        inflow[m-1, i] = s_-1 (P_(k-1-i)[m-1] - P_(k-1-i)[m+1]), P_j the
-        j-fold composed stencil s on the offsets -j..j.  None unless the
-        plan is explicit with a symmetric three-tap stencil s, no boundary
-        column and 4 k + 2 <= N, which keeps the k images and k inflow
-        nodes of one end far from the other end."""
-        k, s = _BLOCK_STEPS, self.stencil
-        if (self.factorization is not None or len(s) != 3 or s[0] != s[2]
-                or self.left.any() or self.right.any() or 4 * k + 2 > self.grid.n_cells):
+    def _blocks(self) -> np.ndarray | None:
+        """Row k - j is P_j, the j-fold composed stencil s, on the offsets
+        0..k+1 (P_j is symmetric), j = 0..k = ``_block_steps``.  None unless
+        k >= 2 and the plan is explicit with a symmetric three-tap stencil s
+        and no boundary column."""
+        k, s = self._block_steps, self.stencil
+        if (k < 2 or self.factorization is not None or len(s) != 3 or s[0] != s[2]
+                or self.left.any() or self.right.any()):
             return None
-        composed, powers = np.ones(1), np.zeros((k, k + 2))
-        for j in reversed(range(k)):  # row j: P_(k-1-j) on the offsets 0..k+1
-            powers[j, : k - j] = composed[k - 1 - j :]
-            composed = np.convolve(composed, s)
-        return composed, s[0] * (powers[:, :k] - powers[:, 2:]).T
+        composed, powers = np.ones(1), np.zeros((k + 1, k + 2))
+        for j in range(k + 1):  # s is symmetric, so correlating with it convolves
+            powers[k - j, : j + 1] = composed[j:]
+            composed = np.correlate(composed, s, "full")
+        return powers
 
 
 def step_plan(cfg: SchemeConfig, dt: float, grid: Grid1D) -> StepPlan:

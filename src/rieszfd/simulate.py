@@ -168,15 +168,14 @@ def run(config: SimulationConfig) -> SnapshotSeries:
 
     Deterministic: identical configs produce bit-identical series.  They
     equal stepping ``implicit_step`` by hand with a plan of the same dt,
-    bit for bit, or to rounding where ``StepPlan.advance`` blocks (the
-    explicit three-point stencil of alpha = 2 at N >= 130, marched by the
-    method of images).  An unstable dt for the run's sigma or a step count
-    past the budget is refused before anything is built.  One
-    ``step_plan`` of the run's grid is built once; one
-    ``StepPlan.advance`` call per recorded step then carries bare arrays
-    there, and only the recorded ones become ``FieldState``s.  A recorded
-    state with a non-finite value raises FloatingPointError, so no run
-    returns one.
+    bit for bit, or to rounding where ``StepPlan.advance`` blocks (explicit
+    alpha = 2 at N >= 10, between recorded steps 32 or more steps apart).
+    An unstable dt for the run's sigma or a step count past the budget is
+    refused before anything is built.  One ``step_plan`` of the run's grid
+    is built once; one ``StepPlan.advance`` call per recorded step then
+    carries bare arrays there, and only the recorded ones become
+    ``FieldState``s.  A recorded state with a non-finite value raises
+    FloatingPointError, so no run returns one.
     """
     dt, n_steps = resolve_dt(config)
     grid = config.grid

@@ -488,15 +488,16 @@ def _assert_not_blocked(plan):
 
 
 class TestBlockedAdvance:
-    """alpha = 2 at N >= 130: advance takes _BLOCK_STEPS steps per correlation."""
+    """alpha = 2 at N >= 10: a call of at least _BLOCKED_CALL_STEPS steps takes
+    up to k = min(_BLOCK_STEPS, (N - 2) // 4) steps per correlation."""
 
     @pytest.mark.parametrize("n", [130, 200, 1000])
     @pytest.mark.parametrize("boundaries", ["constant", "tables"])
     @pytest.mark.parametrize("f, steps", [(7, 100), (0, 4200)])
     def test_agrees_with_one_step_calls_to_rounding(self, n, boundaries, f, steps):
-        # 100 steps are three blocks and four single steps; 4200 steps
-        # cross the 4096-step segment, whose tail of 104 steps blocks again
-        assert steps % rieszfd.schemes._BLOCK_STEPS != 0
+        # no step count is a whole number of blocks; 4200 steps cross the
+        # 4096-step segment, whose tail of 104 steps blocks again
+        assert steps % _heat_plan(n)._block_steps != 0
         if boundaries == "constant":
             bcs = BoundarySpec.constant(0.7), BoundarySpec.constant(-1.3)
         else:
@@ -520,9 +521,9 @@ class TestBlockedAdvance:
         far = np.abs(np.arange(1001) - 500) > 40
         assert np.all(values[far] == 0.0) and np.all(values[~far] > 0.0)
 
-    @pytest.mark.parametrize("n, sigma, alpha", [(200, 1.0, 1.5), (200, 0.5, 2.0), (129, 1.0, 2.0)])
+    @pytest.mark.parametrize("n, sigma, alpha", [(200, 1.0, 1.5), (200, 0.5, 2.0), (9, 1.0, 2.0)])
     def test_other_plans_step_bit_for_bit_like_one_step_calls(self, n, sigma, alpha):
-        # a long stencil, a solve or too few nodes: no blocks
+        # a long stencil, a solve or too few nodes for a block of two steps
         plan = _heat_plan(n, sigma=sigma, alpha=alpha, bc_left=BoundarySpec.constant(0.4))
         values = np.exp(-plan.grid.nodes() ** 2)
         got = plan.advance(values, 3, 70)
@@ -543,14 +544,74 @@ class TestBlockedAdvance:
         # an odd extension steps like a held end only for a symmetric stencil
         _assert_not_blocked(_forged_heat_plan(stencil=np.array([0.5, 0.1, 0.4])))
 
-    def test_block_data_is_built_only_for_a_full_block(self):
+    def test_block_data_is_built_only_for_a_call_long_enough_to_block(self):
         plan = _heat_plan(200)
         values = np.exp(-plan.grid.nodes() ** 2)
         plan.advance(values, 0)
-        plan.advance(values, 0, rieszfd.schemes._BLOCK_STEPS - 1)
+        plan.advance(values, 0, rieszfd.schemes._BLOCKED_CALL_STEPS - 1)
         assert "_blocks" not in plan.__dict__
-        plan.advance(values, 0, rieszfd.schemes._BLOCK_STEPS)
+        # a call shorter than a full block builds the data of full blocks
+        assert rieszfd.schemes._BLOCKED_CALL_STEPS < plan._block_steps
+        plan.advance(values, 0, rieszfd.schemes._BLOCKED_CALL_STEPS)
         assert "_blocks" in plan.__dict__
+
+    def test_a_call_too_short_to_block_steps_bit_for_bit_with_the_table_built(self):
+        plan = _heat_plan(1000, bc_left=BoundarySpec.constant(0.4))
+        values = np.exp(-plan.grid.nodes() ** 2)
+        assert plan._blocks is not None
+        steps = rieszfd.schemes._BLOCKED_CALL_STEPS - 1
+        got = plan.advance(values, 3, steps)
+        assert np.array_equal(got, _one_step_at_a_time(plan, values, 3, steps))
+
+    @pytest.mark.parametrize("n", [10, 33, 64, 129])
+    @pytest.mark.parametrize("boundaries", ["zero", "constant", "tables"])
+    def test_every_block_length_agrees_with_one_step_calls(self, n, boundaries):
+        # grids of two to 31 steps a block.  33 steps leave a short block
+        # over, 16 k steps none, and 4100 steps end in a segment of 4 steps.
+        # At zero boundary values the first step still reads the end values
+        bcs = BoundarySpec.constant(0.0), BoundarySpec.constant(0.0)
+        if boundaries == "constant":
+            bcs = BoundarySpec.constant(0.7), BoundarySpec.constant(-1.3)
+        elif boundaries == "tables":
+            dt = _heat_plan(n).dt
+            bcs = (BoundarySpec.time_table([(0.0, 1.0), (30 * dt, -0.5), (900 * dt, 0.2)]),
+                   BoundarySpec.time_table([(0.0, 0.0), (7 * dt, 2.0), (3000 * dt, 0.5)]))
+        plan = _heat_plan(n, bc_left=bcs[0], bc_right=bcs[1])
+        k = plan._block_steps
+        assert k == min(rieszfd.schemes._BLOCK_STEPS, (n - 2) // 4) >= 2
+        assert plan._blocks is not None
+        values = np.cos(plan.grid.nodes()) + 0.1 * np.arange(n + 1)
+        for f, steps in ((0, 33), (5, 16 * k), (1, 4100)):
+            blocked = plan.advance(values, f, steps)
+            stepped = _one_step_at_a_time(plan, values, f, steps)
+            assert np.max(np.abs(blocked - stepped)) <= 1e-13 * np.max(np.abs(stepped))
+            assert blocked[0] == stepped[0] and blocked[-1] == stepped[-1]
+            assert np.array_equal(plan.advance(values, f, steps), blocked)
+
+    @pytest.mark.parametrize("n", [6, 33])
+    def test_a_block_of_up_to_n_minus_one_steps_is_exact(self, n, monkeypatch):
+        # the cap of a quarter of the grid is for cost: the k images and
+        # k inflow nodes of one end may reach to the other
+        dt = _heat_plan(n).dt
+        plan = _heat_plan(n, bc_left=BoundarySpec.time_table([(0.0, 1.0), (40 * dt, -0.5)]),
+                          bc_right=BoundarySpec.constant(0.3))
+        values = np.sin(plan.grid.nodes())
+        steps = 6 * n + 4
+        stepped = _one_step_at_a_time(plan, values, 0, steps)
+        for k in (2, n // 2, n - 1):
+            monkeypatch.setattr(rieszfd.schemes.StepPlan, "_block_steps", property(lambda _: k))
+            blocked = dataclasses.replace(plan).advance(values, 0, steps)
+            assert np.max(np.abs(blocked - stepped)) <= 1e-13 * np.max(np.abs(stepped))
+
+    def test_delta_over_several_long_blocks_keeps_its_zeros_and_sign(self):
+        plan = _heat_plan(4000)
+        assert plan._block_steps == rieszfd.schemes._BLOCK_STEPS
+        values = np.zeros(4001)
+        values[2000] = 1.0 / plan.grid.h
+        values = plan.advance(values, 0, 700)
+        far = np.abs(np.arange(4001) - 2000) > 700
+        assert np.all(values[far] == 0.0) and np.all(values[~far] > 0.0)
+        assert not np.any(np.signbit(values))
 
     @pytest.mark.parametrize("n", [130, 1000])
     @pytest.mark.parametrize("boundaries", ["zero", "tables"])
