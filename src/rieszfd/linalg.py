@@ -47,11 +47,12 @@ GENERATOR_BACKWARD_ERROR = 1e-10
 # GMRES_TOLERANCE (||T||_inf max|C^-1 (e_1; e_n)| + 1), C the Strang
 # circulant, with both of its norms infinity norms.  atol follows the
 # floor that rounding leaves, which scales with ||T|| (6e-14 for a lower
-# triangular T with ||T||_inf = 1130).  It restarts every
-# GMRES_RESTART iterations and gives up after GMRES_MAX_ITERATIONS in all;
-# the pair took 3 to 6 at alpha 0.7 to 1.9 on [-10, 10] up to N = 2**17
+# triangular T with ||T||_inf = 1130).  It restarts every GMRES_RESTART
+# iterations, each keeping a vector of 2 (N - 1) floats, and gives up after
+# the cycles that fit in GMRES_MAX_ITERATIONS; the pair took 3 to 6 at alpha
+# 0.7 to 1.9 on [-10, 10] up to N = 2**17, at most 13 at 10**4 x the bound
 GMRES_TOLERANCE = 1e-14
-GMRES_RESTART = 30
+GMRES_RESTART = 16
 GMRES_MAX_ITERATIONS = 150
 # Strang's circulant is taken at next_fast_len(n + n // _STRANG_MARGIN): at
 # p = n the pair took up to 9 iterations, against 5 (N = 16384, alpha = 1.9)
@@ -185,10 +186,10 @@ def toeplitz_factor(
     Raises ValueError for non-finite entries and DimensionMismatch for
     inputs of unequal or zero length or with different corner entries.
     Raises SingularMatrix when a pivot falls below 1e-300, when a Strang
-    eigenvalue has modulus at most 1e-300, when GMRES does not converge within
-    GMRES_MAX_ITERATIONS, when |x_0| is below 1e-300, or when the
-    generators' normwise backward error, checked once with the FFT
-    product, exceeds GENERATOR_BACKWARD_ERROR (1e-10).
+    eigenvalue has modulus at most 1e-300, when GMRES does not converge in
+    the restart cycles that fit in GMRES_MAX_ITERATIONS, when |x_0| is
+    below 1e-300, or when the generators' normwise backward error, checked
+    once with the FFT product, exceeds GENERATOR_BACKWARD_ERROR (1e-10).
     """
     c = np.asarray(first_col, dtype=float)
     r = np.asarray(first_row, dtype=float)
@@ -258,19 +259,20 @@ def _generators(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, i
     units = np.zeros(2 * n)  # (e_1; e_n)
     units[0] = units[-1] = 1.0
     residuals: list[float] = []
+    cycles = GMRES_MAX_ITERATIONS // GMRES_RESTART
     solved, info = gmres(
         operator,
         units,
         rtol=GMRES_TOLERANCE,
         atol=GMRES_TOLERANCE * (norm * np.max(np.abs(precondition(units))) + 1.0),
         restart=GMRES_RESTART,
-        maxiter=GMRES_MAX_ITERATIONS // GMRES_RESTART,
+        maxiter=cycles,
         M=preconditioner,
         callback=residuals.append,
         callback_type="pr_norm",
     )
     if info != 0:
-        raise SingularMatrix(f"GMRES did not converge in {GMRES_MAX_ITERATIONS} iterations")
+        raise SingularMatrix(f"GMRES did not converge in {cycles * GMRES_RESTART} iterations")
     error = np.max(np.abs(product(solved) - units)) / (norm * np.max(np.abs(solved)) + 1.0)
     if not error <= GENERATOR_BACKWARD_ERROR:
         raise SingularMatrix(

@@ -9,8 +9,8 @@ Boundary data is evaluated at half steps t = dt*(f + 1/2).
 
 Every coefficient of a step is fixed for a run, so ``step_plan`` builds
 them once from the grid, in O(N) memory, and below sigma = 1 factors the
-interior Toeplitz system; a step is then one correlation that writes the
-new state node by node, an axpy per nonzero boundary value and an
+interior Toeplitz system; a step is then one correlation that gives the
+N - 1 interior values, an axpy per nonzero boundary value and an
 O(N log N) solve.  An explicit plan with the symmetric three-point
 stencil (alpha = 2 at N >= 10) takes up to ``_BLOCK_STEPS`` steps per
 correlation instead, over the state extended oddly about both ends.
@@ -117,11 +117,11 @@ class StepPlan:
 
     With r = K dt / h**alpha the step solves T C^{f+1} = P C^f + g_L left
     + g_R right on the interior nodes, T = I + (sigma - 1) r W and
-    P = I + sigma r W.  ``stencil`` is P's row: the three points of k =
-    -1..1 at alpha = 2, where every other weight is zero, and otherwise
-    all of k = -(N-1)..N-1 with one zero at each end (None at sigma = 0,
-    P = I); ``left``/``right`` are r s_L(i)/r s_R(N-i)
-    minus T's Dirichlet columns (sigma - 1) r w_{-i}/w_{N-i};
+    P = I + sigma r W.  ``stencil`` is P's interior row: k = -1..1 at
+    alpha = 2, where every other weight is zero, and k = -(N-1)..N-1 below
+    it (None at sigma = 0, P = I), so a "valid" correlation of the N + 1
+    values with it gives the N - 1 interior ones.  ``left``/``right`` are
+    r s_L(i)/r s_R(N-i) minus T's Dirichlet columns (sigma - 1) r w_{-i}/w_{N-i};
     ``factorization`` is T's (None at sigma = 1, T = I).  ``advance``
     takes any number of steps in one call, the same arithmetic in the same
     order as that many one-step calls, except that an explicit plan with a
@@ -140,7 +140,7 @@ class StepPlan:
     factorization: ToeplitzFactorization | TridiagonalFactorization | None
 
     def advance(self, values: np.ndarray, f: int, steps: int = 1) -> np.ndarray:
-        """C^{f+steps} from the N+1 nodal values C^f, as a new float array.
+        """C^{f+steps}, a new float array, from the N+1 nodal values C^f (never written).
 
         ``values`` is read once as a 1-D float array, so an int state steps
         like its float copy.  f < 0 or steps < 1 raises ValueError, and any
@@ -161,19 +161,16 @@ class StepPlan:
                 values = self._march_blocks(values, g_lefts, g_rights)
                 continue
             for g_left, g_right in zip(g_lefts.tolist(), g_rights.tolist()):
-                if self.stencil is None:
-                    new = values.copy()
-                else:  # one output per node: "valid" for a stencil longer than the state
-                    mode = "same" if self.stencil.size <= n + 1 else "valid"
-                    new = np.correlate(values, self.stencil, mode)
+                interior = values[1:-1]
+                if self.stencil is not None:  # one output per interior node
+                    interior = np.correlate(values, self.stencil, "valid")
                 if g_left != 0.0:
-                    new[1:-1] += g_left * self.left
+                    interior = interior + g_left * self.left
                 if g_right != 0.0:
-                    new[1:-1] += g_right * self.right
+                    interior = interior + g_right * self.right
                 if self.factorization is not None:
-                    new[1:-1] = self.factorization.solve(new[1:-1])
-                new[0], new[-1] = g_left, g_right
-                values = new
+                    interior = self.factorization.solve(interior)
+                values = np.concatenate(([g_left], interior, [g_right]))
         return values
 
     @property
@@ -234,10 +231,10 @@ def step_plan(cfg: SchemeConfig, dt: float, grid: Grid1D) -> StepPlan:
     """Build the coefficients of a step of size dt on ``grid`` once per run.
 
     Tabulates w_k over exactly the offsets the grid reads, [-(N-1), N-1],
-    and the interior tail sums, in O(N) memory.  The fused stencil reads
-    w_-1..w_1 at alpha = 2 and every tabulated weight below it, where the
-    weights decay like |k|**(-1-alpha).  T is factored only below sigma =
-    1.  dt must be positive and finite (ValueError otherwise); it is not
+    and the interior tail sums, in O(N) memory.  The fused stencil is P's
+    interior row: w_-1..w_1 at alpha = 2, all 2N - 1 weights below it,
+    where they decay like |k|**(-1-alpha).  T is factored only below sigma
+    = 1.  dt must be positive and finite (ValueError otherwise); it is not
     compared with the explicit bound, so a plan may step past it.
     """
     n, h = grid.n_cells, grid.h
@@ -257,7 +254,7 @@ def step_plan(cfg: SchemeConfig, dt: float, grid: Grid1D) -> StepPlan:
         factorization = toeplitz_factor(first_col, first_row)
     stencil = None
     if cfg.sigma != 0.0:
-        stencil = weights[n - 2 : n + 1] if cfg.params.alpha == 2.0 else np.pad(weights, 1)
+        stencil = weights[n - 2 : n + 1] if cfg.params.alpha == 2.0 else weights
         stencil = cfg.sigma * r * stencil
         stencil[len(stencil) // 2] += 1.0
         stencil.setflags(write=False)

@@ -23,10 +23,10 @@ _ALIGN_STEP_CAP = 50_000_000
 _STEP_BUDGET = 10**8
 # runs whose arrays would take more bytes than this are refused before any
 # is allocated: the initial state, every recorded one and the working set
-# of the step plan, which peaks at 93.2 arrays of N + 1 floats while
+# of the step plan, which peaks at 65.2 arrays of N + 1 floats while
 # step_plan factors T (tracemalloc, alpha 1.5, sigma 0.5, N = 2**14, 2**16)
 _BYTE_BUDGET = 2**32
-_PLAN_ARRAYS = 94
+_PLAN_ARRAYS = 66
 
 
 @dataclass(frozen=True)

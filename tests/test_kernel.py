@@ -210,7 +210,7 @@ class TestApply:
             tol = 1e-13 * np.max(np.abs(dense)) * np.max(np.abs(u)) * n
             assert got.shape == (n + 1,) and got[0] == 0.0 and got[-1] == 0.0
             assert np.max(np.abs(got[1:-1] - u[1:-1] - dense @ u)) <= tol
-            assert plan.stencil.size == (3 if params.alpha == 2.0 else 2 * n + 1)
+            assert plan.stencil.size == (3 if params.alpha == 2.0 else 2 * n - 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 130, 1000])
     @pytest.mark.parametrize(
@@ -221,7 +221,7 @@ class TestApply:
     def test_stencil_reach_is_read_from_alpha(self, alpha, theta, n):
         # the weights vanish past |k| = 1 at alpha = 2 and decay like
         # |k|**(-1-alpha) at every other order, so the plan reads its
-        # reach from alpha: three points, or the whole grid zero-padded
+        # reach from alpha: three points, or the 2N - 1 offsets of the grid
         params = validate_params(alpha, theta)
         grid = build_grid(0.0, 1.0, n)
         plan = step_plan(SchemeConfig(params=params, k_alpha=1.0), 0.1 * grid.h**alpha, grid)
@@ -230,7 +230,7 @@ class TestApply:
             assert plan.stencil.size == 3
             assert np.all(weights[: n - 2] == 0.0) and np.all(weights[n + 1 :] == 0.0)
         else:
-            assert plan.stencil.size == 2 * n + 1
+            assert plan.stencil.size == 2 * n - 1
 
     def test_alpha_two_reaches_one_node(self):
         params = validate_params(2.0, 0.0)

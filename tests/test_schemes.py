@@ -385,7 +385,7 @@ class TestImplicitStep:
                 expected = np.linalg.solve(*assemble_system(state, cfg, dt))
                 assert got[0] == 0.7 and got[-1] == -0.4
                 assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-        assert sizes == {None, 3, 2 * n + 1}
+        assert sizes == {None, 3, 2 * n - 1}
 
     def test_half_step_boundary_values_used(self):
         # time-dependent boundary: value at dt*(f + 1/2) lands on the nodes
@@ -451,6 +451,47 @@ class TestAdvance:
     def test_scalar_weight_memory_does_not_grow_with_the_offset(self):
         params = validate_params(1.5, 0.3)
         assert _peak_bytes(lambda: weight(10**7, params)) < 2**20
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_plan_peak_stays_within_the_run_byte_estimate(self, sigma):
+        # resolve_dt budgets the step plan at _PLAN_ARRAYS arrays of N + 1
+        # floats; the GMRES setup of the factorization is the peak.  At
+        # small N fixed overheads dominate, so measure a large grid
+        n = 2**14
+        params = validate_params(1.5, 0.3)
+        grid = build_grid(-10.0, 10.0, n)
+        cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=sigma)
+        for dt in (0.5, 1e4 * max_stable_dt(params, 1.0, grid.h)):
+            peak = _peak_bytes(lambda: step_plan(cfg, dt, grid))
+            assert peak <= rieszfd.simulate._PLAN_ARRAYS * 8 * (n + 1)
+
+    @pytest.mark.parametrize("steps", [1, 31, 70], ids=["one", "31", "blocked"])
+    @pytest.mark.parametrize("boundaries", ["zero", "constant", "tables"])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    def test_never_writes_its_input_and_returns_a_new_array(
+        self, sigma, alpha, boundaries, steps
+    ):
+        # at sigma = 0 the solve reads the interior of the input itself
+        params = validate_params(alpha, 0.3 if alpha < 2.0 else 0.0)
+        grid = build_grid(-10.0, 10.0, 64)
+        dt = 0.5 * max_stable_dt(params, 1.0, grid.h)
+        bcs = {
+            "zero": (BoundarySpec.constant(0.0),) * 2,
+            "constant": (BoundarySpec.constant(0.4), BoundarySpec.constant(-0.6)),
+            "tables": (BoundarySpec.time_table([(0.0, 1.0), (80 * dt, -0.5)]),
+                       BoundarySpec.time_table([(0.0, 0.0), (80 * dt, 2.0)])),
+        }[boundaries]
+        cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=sigma,
+                           bc_left=bcs[0], bc_right=bcs[1])
+        plan = step_plan(cfg, dt, grid)
+        values = np.exp(-grid.nodes() ** 2)
+        before = values.tobytes()
+        got = plan.advance(values, 3, steps)
+        assert values.tobytes() == before
+        assert not np.shares_memory(got, values) and got.flags.writeable
+        values.setflags(write=False)  # a write into it would now raise
+        assert np.array_equal(plan.advance(values, 3, steps), got)
 
 
 def _heat_plan(n, sigma=1.0, alpha=2.0, bc_left=BoundarySpec.constant(0.0),
