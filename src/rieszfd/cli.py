@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .grid import FieldState, Grid1D
 from .kernel import validate_params, weight_table
 from .oracles import convergence_study
-from .schemes import max_stable_dt
+from .schemes import max_stable_dt, stable_dt_limit
 from .simulate import run
 from .verify import SUITES, run_suites
 
@@ -106,7 +106,9 @@ def _cmd_weights(args) -> int:
 
 def _cmd_stability(args) -> int:
     params = validate_params(args.alpha, args.theta)
-    print(_fmt(max_stable_dt(params, args.k_alpha, args.h)))
+    if not 0.0 <= args.sigma <= 1.0:
+        raise ValidationError(f"--sigma must lie in [0, 1], got {args.sigma}")
+    print(_fmt(stable_dt_limit(max_stable_dt(params, args.k_alpha, args.h), args.sigma)))
     return 0
 
 
@@ -161,15 +163,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "stability",
-        help="print the explicit (sigma = 1) time-step bound",
-        description="Print the explicit (sigma = 1) time-step bound -h^alpha / (K w_0). "
-        "For 1/2 < sigma < 1, simulate refuses dt >= bound / (2 sigma - 1); "
-        "sigma <= 1/2 is stable at any dt.",
+        help="print the time step at and above which simulate refuses a run",
+        description="Print the dt at and above which simulate refuses a run of weight sigma: "
+        "the explicit bound -h^alpha / (K w_0) at sigma = 1 (the default), "
+        "bound / (2 sigma - 1) for 1/2 < sigma < 1, and inf for sigma <= 1/2, "
+        "which is stable at any dt.",
     )
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--k-alpha", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
+    p.add_argument("--sigma", type=float, default=1.0, help="time weight in [0, 1] (default 1)")
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("verify", help="run built-in verification suites")

@@ -13,7 +13,10 @@ interior Toeplitz system; a step is then one correlation that gives the
 N - 1 interior values, an axpy per nonzero boundary value and an
 O(N log N) solve.  An explicit plan with the symmetric three-point
 stencil (alpha = 2 at N >= 10) takes up to ``_BLOCK_STEPS`` steps per
-correlation instead, over the state extended oddly about both ends.
+matrix product instead: the state extended oddly about both ends, read
+in overlapping rows, times a Toeplitz panel of the composed stencil,
+which repeated squaring of the three taps builds.  The product keeps
+direct sums, so delta data stays exactly zero beyond its reach.
 ``rf_apply_bounded`` and ``assemble_system`` are the dense reference the
 tests and ``verify`` compare with: given only the state and the scheme's
 parameters, they tabulate the same weights and tails for the state's
@@ -35,8 +38,9 @@ from .kernel import FractionalParams, TailSums, weight, weight_table
 from .linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
 
 _SEGMENT_STEPS = 4096  # half steps whose boundary values advance evaluates at once
-_BLOCK_STEPS = 256  # most explicit steps of a short stencil that advance takes in one correlation
+_BLOCK_STEPS = 256  # most explicit steps of a short stencil that advance takes in one product
 _BLOCKED_CALL_STEPS = 32  # fewest steps of a blocked advance call; a block costs 5-15 steps
+_PANEL_WIDTH = 32  # nodes that one row of a block's matrix product gives
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,14 @@ def max_stable_dt(params: FractionalParams, k_alpha: float, h: float) -> float:
     if not (k_alpha > 0.0 and math.isfinite(k_alpha) and h > 0.0 and math.isfinite(h)):
         raise ConfigInvalid(f"k_alpha and h must be positive and finite, got {k_alpha} and {h}")
     return -(h**params.alpha) / (k_alpha * weight(0, params))
+
+
+def stable_dt_limit(bound: float, sigma: float) -> float:
+    """The dt at and above which a run of weight ``sigma`` is refused, from
+    its explicit ``bound`` (``max_stable_dt``): bound / (2 sigma - 1) above
+    sigma = 1/2, the bound itself at sigma = 1, and inf at sigma <= 1/2,
+    which is stable at any dt.  The rule is sufficient, not sharp."""
+    return bound / (2.0 * sigma - 1.0) if sigma > 0.5 else math.inf
 
 
 def _dense_operator(params: FractionalParams, n: int) -> np.ndarray:
@@ -128,6 +140,11 @@ class StepPlan:
     symmetric three-tap stencil and no boundary column takes a call of
     ``_BLOCKED_CALL_STEPS`` or more steps in blocks, by the method of
     images, to rounding of one-step calls; a repeated call repeats its bits.
+    Such a plan keeps the powers of two of its stencil and the Toeplitz
+    panel of a full block, O(k L) floats for k = ``_block_steps`` and
+    L = ``_PANEL_WIDTH``, built on its first blocked call; the table of
+    every composed stencil up to P_k is built only by a blocked call with
+    a nonzero end value, which the inflow product reads.
     """
 
     grid: Grid1D
@@ -145,19 +162,23 @@ class StepPlan:
         ``values`` is read once as a 1-D float array, so an int state steps
         like its float copy.  f < 0 or steps < 1 raises ValueError, and any
         shape but (N+1,) DimensionMismatch, before any work.  The boundary
-        values are evaluated once per ``_SEGMENT_STEPS`` half steps, so any
-        step count takes O(N + _SEGMENT_STEPS) memory.  A call of fewer than
+        values are evaluated at most ``_SEGMENT_STEPS`` half steps at a time,
+        so any step count takes O(N + _SEGMENT_STEPS) memory.  A blocked
+        call takes segments of whole blocks, so only its last segment has a
+        short block and builds a panel of its own.  A call of fewer than
         ``_BLOCKED_CALL_STEPS`` steps steps one at a time and builds no blocks."""
         if f < 0 or steps < 1:
             raise ValueError(f"advance needs f >= 0 and steps >= 1, got f={f}, steps={steps}")
         values, n = np.asarray(values, dtype=float), self.grid.n_cells
         if values.shape != (n + 1,):
             raise DimensionMismatch(f"a {n}-cell plan steps {n + 1} values, got {values.shape}")
-        for start in range(f, f + steps, _SEGMENT_STEPS):
-            half_steps = np.arange(start, min(start + _SEGMENT_STEPS, f + steps))
+        blocked = steps >= _BLOCKED_CALL_STEPS and self._squares is not None
+        stride = _SEGMENT_STEPS - _SEGMENT_STEPS % self._block_steps if blocked else _SEGMENT_STEPS
+        for start in range(f, f + steps, stride):
+            half_steps = np.arange(start, min(start + stride, f + steps))
             g_lefts = boundary_at_half_step(self.bc_left, self.dt, half_steps)
             g_rights = boundary_at_half_step(self.bc_right, self.dt, half_steps)
-            if steps >= _BLOCKED_CALL_STEPS and self._blocks is not None:
+            if blocked:
                 values = self._march_blocks(values, g_lefts, g_rights)
                 continue
             for g_left, g_right in zip(g_lefts.tolist(), g_rights.tolist()):
@@ -185,46 +206,117 @@ class StepPlan:
 
         Holding an end node at zero steps a symmetric stencil like the free
         step of the state extended oddly about that node.  So an r-step
-        block correlates P_r, the r-fold composed stencil, over (-C_r, ...,
-        -C_1, 0, C_1, ..., C_(N-1), 0, -C_(N-1), ..., -C_(N-r)).  An end
-        value read j steps before a block ends adds s_-1 (P_j[m-1] -
-        P_j[m+1]) to node m; the first k - r of a short block's slots are
-        zero, so one product carries in the end values of all blocks."""
-        powers, k, n, m = self._blocks, self._block_steps, self.grid.n_cells, len(g_lefts)
+        block takes P_r, the r-fold composed stencil, over (-C_r, ..., -C_1,
+        0, C_1, ..., C_(N-1), 0, -C_(N-1), ..., -C_(N-r)), held in one
+        zero-tailed buffer, as one batched matrix product: row q of a
+        strided view reads the L + 2r values around nodes qL..qL+L-1, L =
+        ``_PANEL_WIDTH``, in pieces of L, each piece times its L x L piece
+        of P_r's Toeplitz panel, and the pieces are summed in order.  The
+        sums stay direct, so delta data keeps its exact zeros, and no BLAS
+        product sums more than L terms, so the bytes do not depend on the
+        BLAS thread count.  An end value read j steps before a block ends
+        adds s_-1 (P_j[m-1] - P_j[m+1]) to node m; the first k - r of a
+        short block's slots are zero, so one product carries in the end
+        values of all blocks, and a call whose end values are all zero
+        skips it."""
+        k, n, m, width = self._block_steps, self.grid.n_cells, len(g_lefts), _PANEL_WIDTH
         slots = np.zeros((m + -m % k, 2))  # k per block: the end values each step reads
         slots[-m % k :] = np.vstack((values[[0, -1]], np.column_stack((g_lefts, g_rights))[:-1]))
-        carried = np.zeros((2, len(slots) // k, k))  # what a block's end values add
+        carried = None  # what a block's end values add
         if slots.any():
-            spread = slots.T.reshape(2, -1, k) @ powers[1:]
+            spread = slots.T.reshape(2, -1, k) @ self._inflow
             carried = self.stencil[0] * (spread[:, :, :k] - spread[:, :, 2:])
-        extended = np.zeros(n + 1 + 2 * k)  # zeros on the end nodes at k and k + N
+        rows, reach = -(-(n + 1) // width), None
+        extended = np.zeros(2 * k + (rows + 1) * width)  # zeros on the end nodes and the tail
+        row, size = width * extended.itemsize, extended.itemsize
         for b, first in enumerate(range(-(-m % k), m, k)):  # the short block first
             r, last = k + min(first, 0), first + k - 1
+            if r != reach:
+                reach, panel = r, self._panel if r == k else _toeplitz_panel(self._composed(r))
+                windows = np.lib.stride_tricks.as_strided(  # piece c of row q: its c-th L values
+                    extended[k - r :], (len(panel), rows, width), (row, row, size),
+                    writeable=False,
+                )
             np.negative(values[k:0:-1], out=extended[:k])
             extended[k + 1 : k + n] = values[1:-1]
-            np.negative(values[-2 : -k - 2 : -1], out=extended[k + n + 1 :])
-            composed = np.concatenate((powers[k - r, r:0:-1], powers[k - r, : r + 1]))
-            values = np.correlate(extended[k - r : k + n + 1 + r], composed, "valid")
-            values[1 : k + 1] += carried[0, b]
-            values[-2 : -k - 2 : -1] += carried[1, b]
+            np.negative(values[-2 : -k - 2 : -1], out=extended[k + n + 1 : 2 * k + n + 1])
+            with np.errstate(over="ignore", invalid="ignore"):  # run refuses inf and nan
+                values = (windows @ panel).sum(axis=0).ravel()[: n + 1]
+            if carried is not None:
+                values[1 : k + 1] += carried[0, b]
+                values[-2 : -k - 2 : -1] += carried[1, b]
             values[0], values[-1] = g_lefts[last], g_rights[last]
         return values
 
     @cached_property
-    def _blocks(self) -> np.ndarray | None:
-        """Row k - j is P_j, the j-fold composed stencil s, on the offsets
-        0..k+1 (P_j is symmetric), j = 0..k = ``_block_steps``.  None unless
-        k >= 2 and the plan is explicit with a symmetric three-tap stencil s
-        and no boundary column."""
+    def _squares(self) -> tuple[np.ndarray, ...] | None:
+        """P_1, P_2, P_4, ..., P_(2^i) for 2^i <= k = ``_block_steps``, each
+        as its half on the offsets 0..2^i (P_j is symmetric), by
+        repeated squaring of the stencil s.  None unless k >= 2 and the
+        plan is explicit with a symmetric three-tap stencil s and no
+        boundary column."""
         k, s = self._block_steps, self.stencil
         if (k < 2 or self.factorization is not None or len(s) != 3 or s[0] != s[2]
                 or self.left.any() or self.right.any()):
             return None
-        composed, powers = np.ones(1), np.zeros((k + 1, k + 2))
-        for j in range(k + 1):  # s is symmetric, so correlating with it convolves
-            powers[k - j, : j + 1] = composed[j:]
+        squares, mass = [s[1:].copy()], math.fsum(s)
+        while 2 ** len(squares) <= k:
+            squares.append(_compose(squares[-1], squares[-1], mass))
+        return tuple(squares)
+
+    def _composed(self, j: int) -> np.ndarray:
+        """P_j's half on the offsets 0..j, from the squares of j's binary digits."""
+        half, mass = None, math.fsum(self.stencil)
+        for i, square in enumerate(self._squares):
+            if j >> i & 1:
+                half = square if half is None else _compose(half, square, mass)
+        return half
+
+    @cached_property
+    def _panel(self) -> np.ndarray:
+        """The Toeplitz panel of P_k, k = ``_block_steps``: every full block's."""
+        return _toeplitz_panel(self._composed(self._block_steps))
+
+    @cached_property
+    def _inflow(self) -> np.ndarray:
+        """Row k - 1 - j is P_j on the offsets 0..k+1, j = 0..k-1, k =
+        ``_block_steps``: what an end value read j steps before a block
+        ends spreads to.  Built by k correlations with the stencil s, by
+        the first blocked call with a nonzero end value."""
+        k, s = self._block_steps, self.stencil
+        composed, powers = np.ones(1), np.zeros((k, k + 2))
+        for j in range(k):  # s is symmetric, so correlating with it convolves
+            powers[k - 1 - j, : j + 1] = composed[j:]
             composed = np.correlate(composed, s, "full")
         return powers
+
+
+def _compose(a: np.ndarray, b: np.ndarray, mass: float) -> np.ndarray:
+    """The half of P_(i+j) = P_i P_j from the halves of P_i and P_j (offsets
+    0..i, 0..j) of a stencil whose taps sum to ``mass``.
+
+    One direct convolution of the mirrored stencils; its half, mirrored
+    again wherever it is read, keeps the product exactly symmetric.  The
+    taps of P_(i+j) sum to mass**(i+j), and squaring would double an error
+    in that sum at every level, so the half is scaled to it."""
+    full = np.convolve(np.concatenate((a[:0:-1], a)), np.concatenate((b[:0:-1], b)))
+    reach = len(a) + len(b) - 2  # i + j
+    return full[reach:] * (mass**reach / np.sum(full))
+
+
+def _toeplitz_panel(half: np.ndarray) -> np.ndarray:
+    """The Toeplitz panel T[a, j] = P_r[a - j - r] of P_r's half on the
+    offsets 0..r, a < L + 2r and j < L = ``_PANEL_WIDTH``, zero-padded to
+    whole L x L pieces and stacked as (pieces, L, L): a row of L + 2r
+    consecutive values, cut into pieces of L, times the pieces and summed
+    gives the L outputs of P_r around its middle L values."""
+    r, width = len(half) - 1, _PANEL_WIDTH
+    pieces = -(-(width + 2 * r) // width)
+    padded = np.zeros((pieces + 1) * width - 1)
+    padded[width - 1 : width + r] = half[::-1]
+    padded[width + r - 1 : width + 2 * r] = half
+    panel = np.lib.stride_tricks.sliding_window_view(padded, width)[:, ::-1]
+    return np.ascontiguousarray(panel).reshape(pieces, width, width)
 
 
 def step_plan(cfg: SchemeConfig, dt: float, grid: Grid1D) -> StepPlan:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, NoSuchSnapshot, UnstableTimestep
 from .grid import FieldState, Grid1D, InitialCondition, sample_initial
-from .schemes import SchemeConfig, max_stable_dt, step_plan
+from .schemes import SchemeConfig, max_stable_dt, stable_dt_limit, step_plan
 
 # snapshot times are aligned to integer step multiples when their ratios to
 # t_end are rational with denominators up to this bound
@@ -117,9 +117,10 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
     + ``_PLAN_ARRAYS``) bytes, exceed ``_BYTE_BUDGET`` (4 GiB).
 
     This is the run's one stability check: above sigma = 1/2 a dt at or
-    above bound / (2 sigma - 1), bound the explicit one, raises
-    UnstableTimestep; at sigma = 1 that is the explicit bound itself, and
-    sigma <= 1/2 is stable at any dt.  The rule is sufficient, not sharp.
+    above ``stable_dt_limit``, bound / (2 sigma - 1) with bound the
+    explicit one, raises UnstableTimestep; at sigma = 1 that is the
+    explicit bound itself, and sigma <= 1/2 is stable at any dt.  The rule
+    is sufficient, not sharp; ``rieszfd stability --sigma`` prints it.
     There is no override; a ``step_plan`` stepped by hand is never checked.
     """
     n_cells, n_times = config.grid.n_cells, len(config.snapshot_times)
@@ -154,7 +155,7 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
             if aligned <= _ALIGN_STEP_CAP:
                 n = aligned
         dt = config.t_end / n
-    limit = bound / (2.0 * scheme.sigma - 1.0) if scheme.sigma > 0.5 else math.inf
+    limit = stable_dt_limit(bound, scheme.sigma)
     if dt >= limit:
         raise UnstableTimestep(
             f"dt={dt} is at or above the stability bound {limit} of sigma={scheme.sigma}, "
@@ -169,7 +170,8 @@ def run(config: SimulationConfig) -> SnapshotSeries:
     Deterministic: identical configs produce bit-identical series.  They
     equal stepping ``implicit_step`` by hand with a plan of the same dt,
     bit for bit, or to rounding where ``StepPlan.advance`` blocks (explicit
-    alpha = 2 at N >= 10, between recorded steps 32 or more steps apart).
+    alpha = 2 at N >= 10, between recorded steps 32 or more steps apart),
+    taking up to 256 steps per matrix product with a Toeplitz panel.
     An unstable dt for the run's sigma or a step count past the budget is
     refused before anything is built.  One ``step_plan`` of the run's grid
     is built once; one ``StepPlan.advance`` call per recorded step then

@@ -15,6 +15,7 @@ from rieszfd import (
     ParseError,
     SkewnessTooLarge,
     UnknownKey,
+    UnstableTimestep,
     build_grid,
     validate_params,
     weight,
@@ -319,6 +320,29 @@ class TestCli:
         # h**2 / (2K); output keeps full precision so compare as a number
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(0.005, abs=1e-17)
+
+    def test_stability_prints_the_dt_limit_that_simulate_enforces(self, capsys):
+        doc = fig2_document(n_cells=200, sigma=0.75, dt=1e-3, snapshots=[])
+        del doc["dt_safety"]
+        h = parse_config(json.dumps(doc)).grid.h
+        argv = ["stability", "--alpha", "2", "--theta", "0", "--k-alpha", "1", "--h", repr(h)]
+        assert main(argv) == 0
+        explicit = capsys.readouterr().out
+        assert main([*argv, "--sigma", "1"]) == 0
+        assert capsys.readouterr().out == explicit
+        assert main([*argv, "--sigma", "0.75"]) == 0
+        limit = float(capsys.readouterr().out)
+        assert limit == pytest.approx(2.0 * float(explicit))
+        # resolve_dt refuses the printed dt and runs the float below it
+        with pytest.raises(UnstableTimestep, match="sigma=0.75"):
+            rieszfd.simulate.resolve_dt(parse_config(json.dumps({**doc, "dt": limit})))
+        below = float(np.nextafter(limit, 0.0))
+        resolved = rieszfd.simulate.resolve_dt(parse_config(json.dumps({**doc, "dt": below})))
+        assert resolved[0] == below
+        assert main([*argv, "--sigma", "0.5"]) == 0
+        assert capsys.readouterr().out == "inf\n"
+        assert main([*argv, "--sigma", "1.5"]) == 2
+        assert "--sigma must lie in [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option, value", [("--k-alpha", "nan"), ("--h", "inf"),
                                                ("--k-alpha", "inf")])

@@ -524,34 +524,52 @@ def _column_at(node):
 def _assert_not_blocked(plan):
     values = np.exp(-plan.grid.nodes() ** 2)
     got = plan.advance(values, 0, 70)
-    assert plan._blocks is None
+    assert plan._squares is None
     assert np.array_equal(got, _one_step_at_a_time(plan, values, 0, 70))
 
 
 class TestBlockedAdvance:
     """alpha = 2 at N >= 10: a call of at least _BLOCKED_CALL_STEPS steps takes
-    up to k = min(_BLOCK_STEPS, (N - 2) // 4) steps per correlation."""
+    up to k = min(_BLOCK_STEPS, (N - 2) // 4) steps per matrix product."""
 
-    @pytest.mark.parametrize("n", [130, 200, 1000])
-    @pytest.mark.parametrize("boundaries", ["constant", "tables"])
-    @pytest.mark.parametrize("f, steps", [(7, 100), (0, 4200)])
+    @pytest.mark.parametrize("n", [130, 200, 1000, 1023])
+    @pytest.mark.parametrize("boundaries", ["zero", "constant", "tables"])
+    @pytest.mark.parametrize("f, steps", [(7, 100), (0, 4200), (3, "2k+1"), (3, "2k-1")])
     def test_agrees_with_one_step_calls_to_rounding(self, n, boundaries, f, steps):
-        # no step count is a whole number of blocks; 4200 steps cross the
-        # 4096-step segment, whose tail of 104 steps blocks again
-        assert steps % _heat_plan(n)._block_steps != 0
+        # no step count is a whole number of blocks: a short block of 1 and
+        # of k - 1 steps, and 4200 steps cross a segment boundary, where
+        # segments are whole blocks and the last one leaves a short block.
+        # N + 1 = 1024 fills the last row of the panel product, the other
+        # grids leave part of it past the images
+        k = _heat_plan(n)._block_steps
+        steps = {"2k+1": 2 * k + 1, "2k-1": 2 * k - 1}.get(steps, steps)
+        assert steps % k != 0
+        assert ((n + 1) % rieszfd.schemes._PANEL_WIDTH == 0) == (n == 1023)
+        bcs = BoundarySpec.constant(0.0), BoundarySpec.constant(0.0)
         if boundaries == "constant":
             bcs = BoundarySpec.constant(0.7), BoundarySpec.constant(-1.3)
-        else:
+        elif boundaries == "tables":
             dt = _heat_plan(n).dt
             bcs = (BoundarySpec.time_table([(0.0, 1.0), (3000 * dt, -0.5)]),
                    BoundarySpec.time_table([(0.0, 0.0), (50 * dt, 2.0), (2000 * dt, 0.5)]))
         plan = _heat_plan(n, bc_left=bcs[0], bc_right=bcs[1])
-        assert plan._blocks is not None
+        assert plan._squares is not None
         values = np.exp(-plan.grid.nodes() ** 2) + np.sin(plan.grid.nodes())
         blocked = plan.advance(values, f, steps)
         stepped = _one_step_at_a_time(plan, values, f, steps)
         assert np.max(np.abs(blocked - stepped)) <= 1e-13 * np.max(np.abs(stepped))
         assert blocked[0] == stepped[0] and blocked[-1] == stepped[-1]
+        if boundaries != "zero":
+            return
+        # delta data with zero end values: exact zeros beyond the reach, no
+        # negative node, and no table of composed stencils for the inflow
+        plan = dataclasses.replace(plan)
+        delta = np.zeros(n + 1)
+        delta[n // 2] = 1.0 / plan.grid.h
+        got = plan.advance(delta, f, steps)
+        assert np.all(got[np.abs(np.arange(n + 1) - n // 2) > steps] == 0.0)
+        assert np.all(got >= 0.0) and not np.any(np.signbit(got))
+        assert "_squares" in plan.__dict__ and "_inflow" not in plan.__dict__
 
     def test_delta_spreads_one_node_a_step_and_stays_nonnegative(self):
         plan = _heat_plan(1000)
@@ -568,7 +586,7 @@ class TestBlockedAdvance:
         plan = _heat_plan(n, sigma=sigma, alpha=alpha, bc_left=BoundarySpec.constant(0.4))
         values = np.exp(-plan.grid.nodes() ** 2)
         got = plan.advance(values, 3, 70)
-        assert plan._blocks is None
+        assert plan._squares is None
         assert np.array_equal(got, _one_step_at_a_time(plan, values, 3, 70))
 
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -590,16 +608,19 @@ class TestBlockedAdvance:
         values = np.exp(-plan.grid.nodes() ** 2)
         plan.advance(values, 0)
         plan.advance(values, 0, rieszfd.schemes._BLOCKED_CALL_STEPS - 1)
-        assert "_blocks" not in plan.__dict__
-        # a call shorter than a full block builds the data of full blocks
+        assert not {"_squares", "_panel", "_inflow"} & plan.__dict__.keys()
+        # a call shorter than a full block builds the squares, not P_k's panel
         assert rieszfd.schemes._BLOCKED_CALL_STEPS < plan._block_steps
         plan.advance(values, 0, rieszfd.schemes._BLOCKED_CALL_STEPS)
-        assert "_blocks" in plan.__dict__
+        assert "_squares" in plan.__dict__ and "_panel" not in plan.__dict__
+        plan.advance(values, 0, plan._block_steps)
+        assert "_panel" in plan.__dict__
 
     def test_a_call_too_short_to_block_steps_bit_for_bit_with_the_table_built(self):
         plan = _heat_plan(1000, bc_left=BoundarySpec.constant(0.4))
         values = np.exp(-plan.grid.nodes() ** 2)
-        assert plan._blocks is not None
+        assert plan._squares is not None
+        assert plan._panel is not None and plan._inflow is not None
         steps = rieszfd.schemes._BLOCKED_CALL_STEPS - 1
         got = plan.advance(values, 3, steps)
         assert np.array_equal(got, _one_step_at_a_time(plan, values, 3, steps))
@@ -620,7 +641,7 @@ class TestBlockedAdvance:
         plan = _heat_plan(n, bc_left=bcs[0], bc_right=bcs[1])
         k = plan._block_steps
         assert k == min(rieszfd.schemes._BLOCK_STEPS, (n - 2) // 4) >= 2
-        assert plan._blocks is not None
+        assert plan._squares is not None
         values = np.cos(plan.grid.nodes()) + 0.1 * np.arange(n + 1)
         for f, steps in ((0, 33), (5, 16 * k), (1, 4100)):
             blocked = plan.advance(values, f, steps)
@@ -665,7 +686,7 @@ class TestBlockedAdvance:
             bcs = (BoundarySpec.time_table([(0.0, 0.0), (40 * dt, 2.0), (200 * dt, 0.0)]),
                    BoundarySpec.time_table([(0.0, 1.0), (100 * dt, 0.0)]))
         plan = _heat_plan(n, bc_left=bcs[0], bc_right=bcs[1])
-        assert plan._blocks is not None
+        assert plan._squares is not None
         values = np.zeros(n + 1)
         values[:10] = 1.0
         k = rieszfd.schemes._BLOCK_STEPS
