@@ -29,24 +29,7 @@ Typical use::
 """
 
 from ._version import __version__
-from .errors import (
-    AlphaNearOne,
-    BoxOutOfDomain,
-    ConfigInvalid,
-    DegenerateDomain,
-    DeltaNeedsEvenN,
-    DimensionMismatch,
-    NonpositiveTime,
-    NoSuchSnapshot,
-    OutOfRangeAlpha,
-    ParseError,
-    SingularMatrix,
-    SkewnessTooLarge,
-    UnknownKey,
-    UnstableTimestep,
-    ValidationError,
-    WindowTooSmall,
-)
+from .errors import ConfigInvalid, NoSuchSnapshot, SingularMatrix, ValidationError
 from .grid import (
     BoundarySpec,
     FieldState,
@@ -76,34 +59,22 @@ from .simulate import (
 
 __all__ = [
     "__version__",
-    "AlphaNearOne",
     "AnalyticKernel",
     "BoundarySpec",
-    "BoxOutOfDomain",
     "ConfigInvalid",
-    "DegenerateDomain",
-    "DeltaNeedsEvenN",
-    "DimensionMismatch",
     "DtPolicy",
     "FieldState",
     "FractionalParams",
     "Grid1D",
     "InitialCondition",
     "NoSuchSnapshot",
-    "NonpositiveTime",
-    "OutOfRangeAlpha",
-    "ParseError",
     "SchemeConfig",
     "SimulationConfig",
     "SingularMatrix",
-    "SkewnessTooLarge",
     "SnapshotSeries",
     "TailSums",
-    "UnknownKey",
-    "UnstableTimestep",
     "ValidationError",
     "WeightTable",
-    "WindowTooSmall",
     "build_grid",
     "config_hash",
     "convergence_study",

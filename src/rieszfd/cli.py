@@ -20,8 +20,12 @@ from .grid import FieldState, Grid1D
 from .kernel import validate_params, weight_table
 from .oracles import convergence_study
 from .schemes import max_stable_dt, stable_dt_limit
-from .simulate import run
+from .simulate import _BYTE_BUDGET, run
 from .verify import SUITES, run_suites
+
+
+# weight_table peaks at about 10.1 arrays of its 2 kmax + 1 weights
+_WEIGHT_TABLE_ARRAYS = 11
 
 
 def _fmt(value: float) -> str:
@@ -97,6 +101,12 @@ def _cmd_weights(args) -> int:
     params = validate_params(args.alpha, args.theta)
     if args.kmax < 0:
         raise ValidationError(f"--kmax must be >= 0, got {args.kmax}")
+    estimate = 8 * (2 * args.kmax + 1) * _WEIGHT_TABLE_ARRAYS
+    if estimate > _BYTE_BUDGET:
+        raise ValidationError(
+            f"--kmax {args.kmax} takes about {estimate / 2**30:.3g} GiB, "
+            f"over the budget of {_BYTE_BUDGET / 2**30:.0f} GiB"
+        )
     table = weight_table(params, -args.kmax, args.kmax)
     print("k,w")
     for k, w in zip(range(-args.kmax, args.kmax + 1), table.weights):

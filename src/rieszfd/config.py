@@ -32,7 +32,7 @@ import time as _time
 from pathlib import Path
 
 from ._version import __version__
-from .errors import ConfigInvalid, ParseError, UnknownKey, ValidationError
+from .errors import ConfigInvalid, ValidationError
 from .grid import BoundarySpec, InitialCondition, build_grid
 from .kernel import validate_params
 from .schemes import SchemeConfig
@@ -66,9 +66,9 @@ def _load(text_or_mapping) -> dict:
     try:
         doc = json.loads(text_or_mapping)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"config is not valid JSON: {exc}") from exc
+        raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
+        raise ValidationError(f"config must be a JSON object, got {type(doc).__name__}")
     return doc
 
 
@@ -83,17 +83,16 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
     if unknown:
         where = f"{path}." if path else ""
         names = ", ".join(sorted(f"{where}{k}" for k in unknown))
-        raise UnknownKey(f"unknown key(s): {names}")
+        raise ValidationError(f"unknown key(s): {names}")
 
 
 def _build(path: str, make, *args):
-    """make(*args), with a refusal reported at ``path``: a ValidationError
-    keeps its type, any other ValueError becomes ConfigInvalid."""
+    """make(*args), with any ValueError it raises re-raised as
+    ConfigInvalid reported at ``path``."""
     try:
         return make(*args)
     except ValueError as exc:
-        kind = type(exc) if isinstance(exc, ValidationError) else ConfigInvalid
-        raise kind(f"{path}: {exc}") from exc
+        raise ConfigInvalid(f"{path}: {exc}") from exc
 
 
 def _pairs(points, path: str, first: str) -> list[tuple[float, float]]:
@@ -181,9 +180,8 @@ def _parse_boundary(node, path: str) -> BoundarySpec:
 def parse_config(text_or_mapping, base_dir: Path | None = None) -> SimulationConfig:
     """Parse and fully validate a config document.
 
-    Raises ParseError for malformed JSON, UnknownKey for keys outside the
-    schema, and ConfigInvalid (or a more specific ValidationError) with
-    the offending field path otherwise.
+    Raises ValidationError for malformed JSON and for keys outside the
+    schema, and ConfigInvalid with the offending field path otherwise.
     """
     doc = _load(text_or_mapping)
     _check_keys(doc, _TOP_KEYS, "")

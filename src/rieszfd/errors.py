@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Anything a user can fix by changing inputs derives from ValidationError
-(the CLI maps these to exit code 2); genuine runtime failures such as a
-singular linear system map to exit code 1.
+Anything a user can fix by changing inputs is a ValidationError (the CLI
+maps these to exit code 2); its message names the field and the value.
+ConfigInvalid is the ValidationError of a refusal that compares inputs
+with each other or with a budget.  A genuine runtime failure such as a
+singular linear system maps to exit code 1.
 """
 
 
@@ -10,56 +12,9 @@ class ValidationError(ValueError):
     """Invalid user input: bad parameters, config, or preconditions."""
 
 
-class OutOfRangeAlpha(ValidationError):
-    """Operator order outside (0, 2]."""
-
-
-class AlphaNearOne(ValidationError):
-    """Operator order inside the excluded band around 1."""
-
-
-class SkewnessTooLarge(ValidationError):
-    """|theta| exceeds min(alpha, 2 - alpha)."""
-
-
-class DegenerateDomain(ValidationError):
-    """Empty or under-resolved spatial domain."""
-
-
-class DeltaNeedsEvenN(ValidationError):
-    """Unit-mass spike requires an even cell count so it sits on a node."""
-
-
-class BoxOutOfDomain(ValidationError):
-    """Box initial condition extends outside the grid."""
-
-
-class WindowTooSmall(ValidationError):
-    """Weight table does not cover the index range the grid requires."""
-
-
-class UnstableTimestep(ValidationError):
-    """Time step at or above the stability bound of its sigma."""
-
-
-class DimensionMismatch(ValidationError):
-    """Array lengths or grids inconsistent with the linear system."""
-
-
-class NonpositiveTime(ValidationError):
-    """Analytic kernels are defined for t > 0 only."""
-
-
 class ConfigInvalid(ValidationError):
-    """Simulation configuration violates a cross-field constraint."""
-
-
-class ParseError(ValidationError):
-    """Config document is not syntactically valid."""
-
-
-class UnknownKey(ValidationError):
-    """Config document contains a key this tool does not define."""
+    """Inputs that are each valid but refused together: a cross-field
+    constraint, an unstable time step, or a step or byte budget."""
 
 
 class SingularMatrix(ArithmeticError):

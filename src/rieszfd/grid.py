@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BoxOutOfDomain, ConfigInvalid, DegenerateDomain, DeltaNeedsEvenN
+from .errors import ConfigInvalid, ValidationError
 
 
 @dataclass(frozen=True)
@@ -32,14 +33,19 @@ class Grid1D:
 
 
 def build_grid(left: float, right: float, n_cells: int) -> Grid1D:
-    """Validated uniform grid; raises DegenerateDomain on bad extents."""
+    """Validated uniform grid; raises ValidationError on bad extents or a
+    cell count that is not an integer of at least 2."""
     if not (math.isfinite(left) and math.isfinite(right)):
-        raise DegenerateDomain(f"domain ends must be finite, got [{left}, {right}]")
+        raise ValidationError(f"domain ends must be finite, got [{left}, {right}]")
     if not right > left:
-        raise DegenerateDomain(f"need right > left, got [{left}, {right}]")
-    if n_cells < 2:
-        raise DegenerateDomain(f"need at least 2 cells, got {n_cells}")
-    return Grid1D(float(left), float(right), int(n_cells))
+        raise ValidationError(f"need right > left, got [{left}, {right}]")
+    try:
+        n = operator.index(n_cells)
+    except TypeError:
+        raise ValidationError(f"cell count must be an integer, got {n_cells!r}") from None
+    if n < 2:
+        raise ValidationError(f"need at least 2 cells, got {n_cells}")
+    return Grid1D(float(left), float(right), n)
 
 
 def _finite(what: str, values) -> tuple[float, ...]:
@@ -116,16 +122,16 @@ def sample_initial(ic: InitialCondition, grid: Grid1D) -> FieldState:
     n = grid.n_cells
     if ic.kind == "delta":
         if n % 2 != 0:
-            raise DeltaNeedsEvenN(
+            raise ValidationError(
                 f"spike initial condition needs an even cell count, got {n}"
             )
         vals = np.zeros(n + 1)
         vals[n // 2] = 1.0 / grid.h
     elif ic.kind == "box":
         if ic.box_from > ic.box_to:
-            raise BoxOutOfDomain(f"box bounds inverted: [{ic.box_from}, {ic.box_to}]")
+            raise ValidationError(f"box bounds inverted: [{ic.box_from}, {ic.box_to}]")
         if ic.box_from < grid.left or ic.box_to > grid.right:
-            raise BoxOutOfDomain(
+            raise ValidationError(
                 f"box [{ic.box_from}, {ic.box_to}] not inside [{grid.left}, {grid.right}]"
             )
         xs = grid.nodes()

@@ -37,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlphaNearOne,
-    OutOfRangeAlpha,
-    SkewnessTooLarge,
-    WindowTooSmall,
-)
+from .errors import ValidationError
 
 # the half-width of the band around the excluded order alpha = 1
 ALPHA_ONE_GUARD = 1e-6
@@ -53,8 +48,8 @@ class FractionalParams:
     """Validated operator order and skewness.
 
     Requires 0 < alpha <= 2, |alpha - 1| >= ``ALPHA_ONE_GUARD`` (1e-6)
-    and |theta| <= min(alpha, 2 - alpha).  Construction fails loudly on
-    violation; nothing is clamped.
+    and |theta| <= min(alpha, 2 - alpha).  Construction raises
+    ValidationError on violation; nothing is clamped.
     """
 
     alpha: float
@@ -65,9 +60,9 @@ class FractionalParams:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "theta", t)
         if not math.isfinite(a) or a <= 0.0 or a > 2.0:
-            raise OutOfRangeAlpha(f"alpha must lie in (0, 2], got {a}")
+            raise ValidationError(f"alpha must lie in (0, 2], got {a}")
         if abs(a - 1.0) < ALPHA_ONE_GUARD:
-            raise AlphaNearOne(
+            raise ValidationError(
                 f"alpha={a} is within {ALPHA_ONE_GUARD} of the excluded "
                 f"value 1; pass e.g. alpha=1-1e-3 explicitly for near-1 behaviour"
             )
@@ -75,7 +70,7 @@ class FractionalParams:
         # the bound is a closed interval: extreme pairs like (1.6, -0.4) must
         # pass even though 2 - 1.6 rounds below 0.4
         if not math.isfinite(t) or abs(t) > limit + 1e-12:
-            raise SkewnessTooLarge(
+            raise ValidationError(
                 f"|theta|={abs(t)} exceeds min(alpha, 2-alpha)={limit}"
             )
 
@@ -88,7 +83,7 @@ class FractionalParams:
 def validate_params(alpha: float, theta: float) -> FractionalParams:
     """Validate (alpha, theta) and return the parameter object.
 
-    Raises OutOfRangeAlpha, AlphaNearOne or SkewnessTooLarge.
+    Raises ValidationError naming the value that fails.
     """
     return FractionalParams(alpha, theta)
 
@@ -197,7 +192,8 @@ class WeightTable:
     as a fresh dense matrix on each call, straight from the weights: the
     dense reference of ``schemes.rf_apply_bounded`` and
     ``schemes.assemble_system``.  The step reads no table:
-    ``schemes.step_plan`` tabulates its own weights.
+    ``schemes.step_plan`` tabulates its own weights.  An offset outside
+    the window raises ValidationError.
     """
 
     k_min: int
@@ -209,19 +205,19 @@ class WeightTable:
 
     def weight(self, k: int) -> float:
         if not self.k_min <= k <= self.k_max:
-            raise WindowTooSmall(f"k={k} outside table window [{self.k_min}, {self.k_max}]")
+            raise ValidationError(f"k={k} outside table window [{self.k_min}, {self.k_max}]")
         return float(self.weights[k - self.k_min])
 
     def application_matrix(self, n_cells: int) -> np.ndarray:
         """(N-1, N+1) matrix W with W[i-1, j] = w_{j-i} for interior rows i.
 
         Row i of the product W @ u is the windowed stencil sum
-        sum_{k=-i}^{N-i} u_{i+k} w_k.  Raises WindowTooSmall unless the
+        sum_{k=-i}^{N-i} u_{i+k} w_k.  Raises ValidationError unless the
         window covers [-(N-1), N-1].
         """
         n = int(n_cells)
         if self.k_min > -(n - 1) or self.k_max < n - 1:
-            raise WindowTooSmall(
+            raise ValidationError(
                 f"table window [{self.k_min}, {self.k_max}] does not cover "
                 f"[{-(n - 1)}, {n - 1}] needed for n_cells={n}"
             )

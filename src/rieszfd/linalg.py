@@ -32,7 +32,7 @@ from scipy import fft
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import SingularMatrix, ValidationError
 
 PIVOT_FLOOR = 1e-300
 # normwise backward error ||T g - e|| / (||T|| ||g|| + 1), infinity norms,
@@ -76,7 +76,7 @@ def lu_factor(matrix: np.ndarray) -> LUFactorization:
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     getrf, = get_lapack_funcs(("getrf",), (a,))
@@ -102,7 +102,7 @@ def lu_solve(fact: LUFactorization, rhs: np.ndarray) -> np.ndarray:
 def _rhs(rhs, n: int) -> np.ndarray:
     b = np.asarray(rhs, dtype=float)
     if b.shape != (n,):
-        raise DimensionMismatch(f"rhs has shape {b.shape}, expected ({n},)")
+        raise ValidationError(f"rhs has shape {b.shape}, expected ({n},)")
     return b
 
 
@@ -183,7 +183,7 @@ def toeplitz_factor(
     Strang-preconditioned GMRES; that needs T and its Strang circulant
     nonsingular, not every leading principal submatrix.
 
-    Raises ValueError for non-finite entries and DimensionMismatch for
+    Raises ValueError for non-finite entries and ValidationError for
     inputs of unequal or zero length or with different corner entries.
     Raises SingularMatrix when a pivot falls below 1e-300, when a Strang
     eigenvalue has modulus at most 1e-300, when GMRES does not converge in
@@ -194,14 +194,14 @@ def toeplitz_factor(
     c = np.asarray(first_col, dtype=float)
     r = np.asarray(first_row, dtype=float)
     if c.ndim != 1 or c.shape != r.shape or c.size == 0:
-        raise DimensionMismatch(
+        raise ValidationError(
             f"first column and row must be nonempty vectors of one length, "
             f"got shapes {c.shape} and {r.shape}"
         )
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(r))):
         raise ValueError("Toeplitz matrix contains non-finite entries")
     if c[0] != r[0]:
-        raise DimensionMismatch(f"first column starts with {c[0]}, first row with {r[0]}")
+        raise ValidationError(f"first column starts with {c[0]}, first row with {r[0]}")
     if not (np.any(c[2:]) or np.any(r[2:])):
         return _tridiagonal_factor(c, r)
     return _gohberg_semencul(c, r)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, NonpositiveTime
+from .errors import ConfigInvalid, ValidationError
 from .kernel import FractionalParams, _law, rf_coefficients, weight
 from .schemes import SchemeConfig
 from .simulate import SimulationConfig, _window_mask, resolve_dt, run, snapshot_error
@@ -43,9 +43,10 @@ class AnalyticKernel:
     k_alpha: float = 1.0
 
     def __call__(self, x, t: float):
-        """Evaluate the kernel at positions x (scalar or array) and time t > 0."""
+        """Evaluate the kernel at positions x (scalar or array) and time t > 0;
+        any other t raises ValidationError."""
         if not t > 0.0:
-            raise NonpositiveTime(f"kernel defined for t > 0, got t={t}")
+            raise ValidationError(f"kernel defined for t > 0, got t={t}")
         x = np.asarray(x, dtype=float)
         kt = self.k_alpha * t
         if self.kind == GAUSS:

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch
+from .errors import ConfigInvalid, ValidationError
 from .grid import BoundarySpec, FieldState, Grid1D, boundary_at_half_step
 from .kernel import FractionalParams, TailSums, weight, weight_table
 from .linalg import ToeplitzFactorization, TridiagonalFactorization, toeplitz_factor
@@ -161,7 +161,7 @@ class StepPlan:
 
         ``values`` is read once as a 1-D float array, so an int state steps
         like its float copy.  f < 0 or steps < 1 raises ValueError, and any
-        shape but (N+1,) DimensionMismatch, before any work.  The boundary
+        shape but (N+1,) ValidationError, before any work.  The boundary
         values are evaluated at most ``_SEGMENT_STEPS`` half steps at a time,
         so any step count takes O(N + _SEGMENT_STEPS) memory.  A blocked
         call takes segments of whole blocks, so only its last segment has a
@@ -171,7 +171,7 @@ class StepPlan:
             raise ValueError(f"advance needs f >= 0 and steps >= 1, got f={f}, steps={steps}")
         values, n = np.asarray(values, dtype=float), self.grid.n_cells
         if values.shape != (n + 1,):
-            raise DimensionMismatch(f"a {n}-cell plan steps {n + 1} values, got {values.shape}")
+            raise ValidationError(f"a {n}-cell plan steps {n + 1} values, got {values.shape}")
         blocked = steps >= _BLOCKED_CALL_STEPS and self._squares is not None
         stride = _SEGMENT_STEPS - _SEGMENT_STEPS % self._block_steps if blocked else _SEGMENT_STEPS
         for start in range(f, f + steps, stride):
@@ -385,13 +385,13 @@ def implicit_step(state: FieldState, plan: StepPlan) -> FieldState:
 
     The plan holds its grid, dt, both boundary specs and every
     coefficient, and is built once for any number of steps; a state on
-    another grid raises DimensionMismatch.  At sigma = 1 A is the identity
+    another grid raises ValidationError.  At sigma = 1 A is the identity
     and nothing is solved.  The boundary nodes take the prescribed values.
     The step does not compare dt with the explicit bound; ``run`` does
     that once, when it resolves dt.
     """
     if state.grid != plan.grid:
-        raise DimensionMismatch(f"a plan for {plan.grid} cannot step a state on {state.grid}")
+        raise ValidationError(f"a plan for {plan.grid} cannot step a state on {state.grid}")
     f = state.step_index
     values = plan.advance(state.values, f)
     return FieldState(grid=state.grid, values=values, time=plan.dt * (f + 1), step_index=f + 1)

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigInvalid, NoSuchSnapshot, UnstableTimestep
+from .errors import ConfigInvalid, NoSuchSnapshot
 from .grid import FieldState, Grid1D, InitialCondition, sample_initial
 from .schemes import SchemeConfig, max_stable_dt, stable_dt_limit, step_plan
 
@@ -118,7 +118,7 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
 
     This is the run's one stability check: above sigma = 1/2 a dt at or
     above ``stable_dt_limit``, bound / (2 sigma - 1) with bound the
-    explicit one, raises UnstableTimestep; at sigma = 1 that is the
+    explicit one, raises ConfigInvalid; at sigma = 1 that is the
     explicit bound itself, and sigma <= 1/2 is stable at any dt.  The rule
     is sufficient, not sharp; ``rieszfd stability --sigma`` prints it.
     There is no override; a ``step_plan`` stepped by hand is never checked.
@@ -157,7 +157,7 @@ def resolve_dt(config: SimulationConfig) -> tuple[float, int]:
         dt = config.t_end / n
     limit = stable_dt_limit(bound, scheme.sigma)
     if dt >= limit:
-        raise UnstableTimestep(
+        raise ConfigInvalid(
             f"dt={dt} is at or above the stability bound {limit} of sigma={scheme.sigma}, "
             f"the explicit bound {bound} / (2 sigma - 1); reduce dt"
         )

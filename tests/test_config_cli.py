@@ -1,7 +1,9 @@
 import ast
 import graphlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +12,11 @@ import numpy as np
 import pytest
 
 from rieszfd import (
-    AlphaNearOne,
     ConfigInvalid,
-    ParseError,
-    SkewnessTooLarge,
-    UnknownKey,
-    UnstableTimestep,
+    NoSuchSnapshot,
+    SingularMatrix,
+    ValidationError,
+    WeightTable,
     build_grid,
     validate_params,
     weight,
@@ -84,17 +85,17 @@ class TestParseConfig:
         assert output_directory(doc) == "out"
 
     def test_invalid_json(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="config is not valid JSON"):
             parse_config("{not json")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="config must be a JSON object, got list"):
             parse_config("[1, 2]")
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(UnknownKey, match="alpha_typo"):
+        with pytest.raises(ValidationError, match=r"unknown key\(s\): alpha_typo"):
             parse_config(fig2_document(alpha_typo=1.0))
-        with pytest.raises(UnknownKey, match="initial.width"):
+        with pytest.raises(ValidationError, match=r"unknown key\(s\): initial.width"):
             parse_config(fig2_document(initial={"kind": "delta", "width": 2}))
-        with pytest.raises(UnknownKey, match="bc_left.ramp"):
+        with pytest.raises(ValidationError, match=r"unknown key\(s\): bc_left.ramp"):
             parse_config(fig2_document(bc_left={"kind": "constant", "value": 0, "ramp": 1}))
 
     def test_missing_required(self):
@@ -104,9 +105,9 @@ class TestParseConfig:
             parse_config(doc)
 
     def test_parameter_validation_propagates(self):
-        with pytest.raises(AlphaNearOne):
+        with pytest.raises(ConfigInvalid, match="alpha/theta: alpha=1.0 is within 1e-06"):
             parse_config(fig2_document(alpha=1.0))
-        with pytest.raises(SkewnessTooLarge):
+        with pytest.raises(ConfigInvalid, match=r"alpha/theta: \|theta\|=0.9 exceeds min"):
             parse_config(fig2_document(alpha=1.5, theta=0.9))
 
     def test_fixed_dt(self):
@@ -289,6 +290,49 @@ NON_FINITE_INPUTS = [
 ]
 
 
+def unstable_document():
+    # sigma = 0.9 at twice the explicit bound of the 40-cell grid
+    doc = tiny_document(sigma=0.9, dt=0.01)
+    del doc["dt_safety"]
+    return doc
+
+
+# the refusals a config can reach, each with the exact stderr the CLI prints
+REFUSED_CONFIGS = [
+    pytest.param(json.dumps(tiny_document(alpha=2.5)),
+                 "error: alpha/theta: alpha must lie in (0, 2], got 2.5\n",
+                 id="alpha-out-of-range"),
+    pytest.param(json.dumps(tiny_document(alpha=1.0)),
+                 "error: alpha/theta: alpha=1.0 is within 1e-06 of the excluded value 1; "
+                 "pass e.g. alpha=1-1e-3 explicitly for near-1 behaviour\n",
+                 id="alpha-near-one"),
+    pytest.param(json.dumps(tiny_document(alpha=1.5, theta=0.9)),
+                 "error: alpha/theta: |theta|=0.9 exceeds min(alpha, 2-alpha)=0.5\n",
+                 id="skew-too-large"),
+    pytest.param(json.dumps(tiny_document(domain=[2.0, -2.0])),
+                 "error: domain/n_cells: need right > left, got [2.0, -2.0]\n",
+                 id="degenerate-domain"),
+    pytest.param(json.dumps(tiny_document(n_cells=41)),
+                 "error: spike initial condition needs an even cell count, got 41\n",
+                 id="delta-odd-n"),
+    pytest.param(json.dumps(tiny_document(
+                     initial={"kind": "box", "value": 1.0, "from": -3.0, "to": 1.0})),
+                 "error: box [-3.0, 1.0] not inside [-2.0, 2.0]\n",
+                 id="box-out-of-domain"),
+    pytest.param(json.dumps(tiny_document(alpha_typo=1.0)),
+                 "error: unknown key(s): alpha_typo\n",
+                 id="unknown-key"),
+    pytest.param("{not json",
+                 "error: config is not valid JSON: Expecting property name enclosed in "
+                 "double quotes: line 1 column 2 (char 1)\n",
+                 id="malformed-json"),
+    pytest.param(json.dumps(unstable_document()),
+                 "error: dt=0.01 is at or above the stability bound 0.006250000000000001 of "
+                 "sigma=0.9, the explicit bound 0.005000000000000001 / (2 sigma - 1); reduce dt\n",
+                 id="unstable-dt"),
+]
+
+
 def non_finite_document(override):
     doc = tiny_document(**override)
     if doc["dt"] != "auto":
@@ -334,7 +378,7 @@ class TestCli:
         limit = float(capsys.readouterr().out)
         assert limit == pytest.approx(2.0 * float(explicit))
         # resolve_dt refuses the printed dt and runs the float below it
-        with pytest.raises(UnstableTimestep, match="sigma=0.75"):
+        with pytest.raises(ConfigInvalid, match="stability bound .* of sigma=0.75,"):
             rieszfd.simulate.resolve_dt(parse_config(json.dumps({**doc, "dt": limit})))
         below = float(np.nextafter(limit, 0.0))
         resolved = rieszfd.simulate.resolve_dt(parse_config(json.dumps({**doc, "dt": below})))
@@ -354,6 +398,27 @@ class TestCli:
     def test_validation_errors_exit_2(self, capsys):
         assert main(["weights", "--alpha", "3.0", "--theta", "0", "--kmax", "2"]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_weights_over_the_byte_budget_exits_2(self, capsys, monkeypatch):
+        # run unpatched, a refused kmax would allocate 4 GiB or more
+        tabulated = []
+
+        def no_allocation(params, k_min, k_max):
+            tabulated.append(k_max)
+            return WeightTable(0, np.zeros(0))
+
+        monkeypatch.setattr(cli, "weight_table", no_allocation)
+        argv = ["weights", "--alpha", "1.5", "--theta", "0", "--kmax"]
+        assert main([*argv, "100000000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --kmax 100000000 takes about 16.4 GiB, over the budget of 4 GiB\n"
+        )
+        # 88 (2 kmax + 1) bytes: 24403222 is the largest kmax within 2**32
+        assert main([*argv, "24403223"]) == 2
+        assert "over the budget of 4 GiB" in capsys.readouterr().err
+        assert tabulated == []
+        assert main([*argv, "24403222"]) == 0
+        assert tabulated == [24403222]
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -397,11 +462,14 @@ class TestCli:
         assert main(["simulate", "--config", str(config_path), "--out", str(target)]) == 0
         assert (target / "manifest.json").exists()
 
-    def test_simulate_invalid_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, err", REFUSED_CONFIGS)
+    def test_simulate_invalid_config_exits_2(self, tmp_path, capsys, text, err):
         config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps(tiny_document(alpha=1.0)))
-        assert main(["simulate", "--config", str(config_path)]) == 2
-        assert "alpha" in capsys.readouterr().err
+        config_path.write_text(text)
+        target = tmp_path / "out"
+        assert main(["simulate", "--config", str(config_path), "--out", str(target)]) == 2
+        assert capsys.readouterr().err == err
+        assert not target.exists()
 
     def test_simulate_runaway_step_count_exits_2(self, tmp_path, capsys):
         doc = tiny_document(dt=1e-12, t_end=1.0, snapshots=[1.0])
@@ -568,6 +636,27 @@ def test_package_has_no_import_cycle():
     assert {"config", "schemes", "simulate"} <= graph["cli"]
     order = list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
     assert set(order) == set(graph)
+
+
+def test_public_surface():
+    assert sorted(rieszfd.__all__) == sorted([
+        "__version__", "AnalyticKernel", "BoundarySpec", "ConfigInvalid", "DtPolicy",
+        "FieldState", "FractionalParams", "Grid1D", "InitialCondition", "NoSuchSnapshot",
+        "SchemeConfig", "SimulationConfig", "SingularMatrix", "SnapshotSeries", "TailSums",
+        "ValidationError", "WeightTable", "build_grid", "config_hash", "convergence_study",
+        "implicit_step", "mass", "max_stable_dt", "run", "snapshot_error", "validate_params",
+        "weight", "weight_table",
+    ])
+    bases = {ValidationError: (ValueError,), ConfigInvalid: (ValidationError,),
+             SingularMatrix: (ArithmeticError,), NoSuchSnapshot: (LookupError,)}
+    assert {cls: cls.__bases__ for cls in bases} == bases
+    # the four are the only exception types any module of the package defines
+    defined = set()
+    for info in pkgutil.iter_modules(rieszfd.__path__, "rieszfd."):
+        module = importlib.import_module(info.name)
+        defined |= {value for value in vars(module).values() if isinstance(value, type)
+                    and issubclass(value, BaseException) and value.__module__ == info.name}
+    assert defined == set(bases)
 
 
 def test_config_does_not_load_the_cli(tmp_path):

@@ -3,11 +3,9 @@ import pytest
 
 from rieszfd import (
     BoundarySpec,
-    BoxOutOfDomain,
-    DegenerateDomain,
-    DeltaNeedsEvenN,
     FieldState,
     InitialCondition,
+    ValidationError,
     build_grid,
     mass,
 )
@@ -23,15 +21,20 @@ class TestGrid:
         assert g.nodes().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateDomain):
+        with pytest.raises(ValidationError, match=r"need right > left, got \[0.0, 0.0\]"):
             build_grid(0.0, 0.0, 10)
-        with pytest.raises(DegenerateDomain):
+        with pytest.raises(ValidationError, match=r"need right > left, got \[1.0, 0.0\]"):
             build_grid(1.0, 0.0, 10)
-        with pytest.raises(DegenerateDomain):
+        with pytest.raises(ValidationError, match="need at least 2 cells, got 1"):
             build_grid(0.0, 1.0, 1)
         for left, right in ((-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)):
-            with pytest.raises(DegenerateDomain, match="finite"):
+            with pytest.raises(ValidationError, match="domain ends must be finite"):
                 build_grid(left, right, 10)
+        # a cell count is an integer: a float, even a whole one, is not truncated
+        for n_cells in (10.7, 2.0):
+            with pytest.raises(ValidationError, match=f"must be an integer, got {n_cells}"):
+                build_grid(0.0, 1.0, n_cells)
+        assert build_grid(0.0, 1.0, np.int64(10)).n_cells == 10
 
     def test_endpoints_exact_without_drift(self):
         # 20/1000 is not exactly representable; endpoints must still be exact
@@ -55,7 +58,7 @@ class TestInitialConditions:
         assert state.time == 0.0 and state.step_index == 0
 
     def test_delta_rejects_odd_grid(self):
-        with pytest.raises(DeltaNeedsEvenN):
+        with pytest.raises(ValidationError, match="needs an even cell count, got 11"):
             sample_initial(InitialCondition.delta(), build_grid(0.0, 1.0, 11))
 
     def test_box_closed_interval_membership(self):
@@ -65,9 +68,9 @@ class TestInitialConditions:
 
     def test_box_out_of_domain(self):
         g = build_grid(0.0, 1.0, 10)
-        with pytest.raises(BoxOutOfDomain):
+        with pytest.raises(ValidationError, match=r"box \[-0.1, 0.5\] not inside \[0.0, 1.0\]"):
             sample_initial(InitialCondition.box(1.0, -0.1, 0.5), g)
-        with pytest.raises(BoxOutOfDomain):
+        with pytest.raises(ValidationError, match=r"box bounds inverted: \[0.8, 0.2\]"):
             sample_initial(InitialCondition.box(1.0, 0.8, 0.2), g)
 
     def test_tabulated_at_nodes_copies_exactly(self, rng):

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from rieszfd import (
-    AlphaNearOne,
-    OutOfRangeAlpha,
-    SkewnessTooLarge,
-    WindowTooSmall,
     FieldState,
     SchemeConfig,
     TailSums,
+    ValidationError,
     WeightTable,
     build_grid,
     validate_params,
@@ -38,26 +35,26 @@ class TestValidateParams:
             assert p.alpha == a and p.theta == t
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(OutOfRangeAlpha):
+        with pytest.raises(ValidationError, match=r"alpha must lie in \(0, 2\], got 0.0"):
             validate_params(0.0, 0.0)
-        with pytest.raises(OutOfRangeAlpha):
+        with pytest.raises(ValidationError, match=r"alpha must lie in \(0, 2\], got 2.5"):
             validate_params(2.5, 0.0)
-        with pytest.raises(OutOfRangeAlpha):
+        with pytest.raises(ValidationError, match=r"alpha must lie in \(0, 2\], got -1.0"):
             validate_params(-1.0, 0.0)
 
     def test_alpha_near_one_guard(self):
-        with pytest.raises(AlphaNearOne):
+        with pytest.raises(ValidationError, match="alpha=1.0 is within 1e-06"):
             validate_params(1.0, 0.0)
-        with pytest.raises(AlphaNearOne):
+        with pytest.raises(ValidationError, match="alpha=1.0000001 is within 1e-06"):
             validate_params(1.0000001, 0.0)  # 1e-7 inside the default 1e-6 band
         validate_params(1.0000011, 0.0)
 
     def test_skewness_bound(self):
-        with pytest.raises(SkewnessTooLarge):
+        with pytest.raises(ValidationError, match=r"\|theta\|=0.1 exceeds min\(.*\)=0.0"):
             validate_params(2.0, 0.1)
-        with pytest.raises(SkewnessTooLarge):
+        with pytest.raises(ValidationError, match=r"\|theta\|=0.9 exceeds min\(.*\)=0.5"):
             validate_params(1.5, 0.9)
-        with pytest.raises(SkewnessTooLarge):
+        with pytest.raises(ValidationError, match=r"\|theta\|=0.5 exceeds min\(.*\)=0.3"):
             validate_params(0.3, -0.5)
 
 
@@ -141,7 +138,7 @@ class TestWeights:
 
     def test_table_lookup_outside_window(self):
         table = weight_table(validate_params(0.5, 0.0), -2, 2)
-        with pytest.raises(WindowTooSmall):
+        with pytest.raises(ValidationError, match=r"k=3 outside table window \[-2, 2\]"):
             table.weight(3)
 
     def test_window_end_is_read_from_the_weights(self):
@@ -149,9 +146,9 @@ class TestWeights:
         params = validate_params(0.5, 0.0)
         table = WeightTable(-3, np.arange(7.0))
         assert table.k_max == 3 and table.weight(3) == 6.0
-        with pytest.raises(WindowTooSmall):
+        with pytest.raises(ValidationError, match=r"k=4 outside table window \[-3, 3\]"):
             table.weight(4)
-        with pytest.raises(WindowTooSmall):
+        with pytest.raises(ValidationError, match=r"window \[-3, 3\] does not cover \[-4, 4\]"):
             table.application_matrix(5)  # n = 5 needs [-4, 4]
         assert WeightTable(-4, np.arange(9.0)).application_matrix(5).shape == (4, 6)
         assert weight_table(params, -5, 2).k_max == 2
@@ -247,7 +244,7 @@ class TestApply:
         p = validate_params(0.5, 0.0)
         for k_min, k_max in ((-3, 3), (-4, 3), (-3, 4)):
             table = weight_table(p, k_min, k_max)
-            with pytest.raises(WindowTooSmall):
+            with pytest.raises(ValidationError, match=r"does not cover \[-4, 4\] needed"):
                 table.application_matrix(5)  # n = 5 needs [-4, 4]
 
 

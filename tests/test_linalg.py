@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import matmul_toeplitz, solve_toeplitz, toeplitz
 
 from rieszfd import (
-    DimensionMismatch,
     SingularMatrix,
+    ValidationError,
     build_grid,
     validate_params,
     weight_table,
@@ -67,12 +67,12 @@ def test_deterministic():
 
 
 def test_input_validation():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match=r"expected a square matrix, got shape \(2, 3\)"):
         lu_factor(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         lu_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     fact = lu_factor(np.eye(3))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match=r"rhs has shape \(4,\), expected \(3,\)"):
         lu_solve(fact, np.zeros(4))
 
 
@@ -80,7 +80,7 @@ def test_lu_solve_reads_the_size_from_the_factors():
     fact = lu_factor(np.array([[2.0, 1.0], [1.0, 3.0]]))
     rebuilt = LUFactorization(fact.lu, fact.piv)
     assert np.allclose(lu_solve(rebuilt, np.array([3.0, 4.0])), [1.0, 1.0], atol=1e-14)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match=r"rhs has shape \(3,\), expected \(2,\)"):
         lu_solve(rebuilt, np.zeros(3))
 
 
@@ -118,15 +118,16 @@ def test_toeplitz_input_validation():
         toeplitz_factor(np.array([1.0, np.nan, 0.5]), np.array([1.0, 0.2, 0.1]))
     with pytest.raises(ValueError):
         toeplitz_factor(np.array([1.0, 0.1]), np.array([1.0, np.inf]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match=r"one length, got shapes \(3,\) and \(2,\)"):
         toeplitz_factor(np.array([2.0, 0.1, 0.1]), np.array([2.0, 0.1]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="first column starts with 2.0, first row with 3.0"):
         toeplitz_factor(np.array([2.0, 0.1, 0.1]), np.array([3.0, 0.1, 0.1]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match=r"nonempty vectors .* shapes \(0,\) and \(0,\)"):
         toeplitz_factor(np.zeros(0), np.zeros(0))
     for c in (np.array([4.0, 1.0]), np.array([4.0, 1.0, 0.5])):
-        with pytest.raises(DimensionMismatch):
-            toeplitz_factor(c, c).solve(np.zeros(len(c) + 1))
+        n = len(c)
+        with pytest.raises(ValidationError, match=rf"rhs has shape \({n + 1},\), expected \({n},\)"):
+            toeplitz_factor(c, c).solve(np.zeros(n + 1))
 
 
 @pytest.mark.parametrize("first_col, first_row", [

@@ -9,10 +9,10 @@ from rieszfd import (
     ConfigInvalid,
     DtPolicy,
     InitialCondition,
-    NonpositiveTime,
     SchemeConfig,
     SimulationConfig,
     TailSums,
+    ValidationError,
     build_grid,
     convergence_study,
     validate_params,
@@ -32,9 +32,9 @@ class TestKernels:
         assert kernel(0.0, 1.0) == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), abs=1e-15)
 
     def test_time_must_be_positive(self):
-        with pytest.raises(NonpositiveTime):
+        with pytest.raises(ValidationError, match=r"kernel defined for t > 0, got t=0.0"):
             AnalyticKernel("gauss_alpha2")(0.0, 0.0)
-        with pytest.raises(NonpositiveTime):
+        with pytest.raises(ValidationError, match=r"kernel defined for t > 0, got t=-1.0"):
             AnalyticKernel("cauchy_alpha1")(0.0, -1.0)
 
     def test_normalization(self):

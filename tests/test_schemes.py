@@ -9,14 +9,13 @@ import rieszfd.simulate
 from rieszfd import (
     BoundarySpec,
     ConfigInvalid,
-    DimensionMismatch,
     DtPolicy,
     FieldState,
     InitialCondition,
     SchemeConfig,
     SimulationConfig,
     TailSums,
-    UnstableTimestep,
+    ValidationError,
     build_grid,
     implicit_step,
     mass,
@@ -181,7 +180,7 @@ class TestExplicitStep:
 
         with monkeypatch.context() as patched:
             patched.setattr(rieszfd.schemes, "weight_table", no_table)
-            with pytest.raises(UnstableTimestep):
+            with pytest.raises(ConfigInvalid, match="at or above the stability bound"):
                 run(config)
         # the plan itself never checks the bound: it steps past it
         plan = step_plan(scheme, dt, grid)
@@ -353,12 +352,12 @@ class TestImplicitStep:
         coarse, fine = build_grid(0.0, 1.0, 8), build_grid(0.0, 1.0, 16)
         plan = step_plan(cfg, 0.5 * max_stable_dt(params, 1.0, fine.h), coarse)
         values = np.linspace(0.0, 1.0, 17)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="cannot step a state on"):
             implicit_step(FieldState(grid=fine, values=values), plan)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"a 8-cell plan steps 9 values, got \(17,\)"):
             plan.advance(values, 0, 3)
         # as many nodes on another domain: another h, so other coefficients
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="cannot step a state on"):
             implicit_step(FieldState(grid=build_grid(0.0, 2.0, 8), values=values[::2]), plan)
         assert implicit_step(FieldState(grid=coarse, values=values[::2]), plan).step_index == 1
 
@@ -433,7 +432,7 @@ class TestAdvance:
                 got = plan.advance(values, 0, 5)
                 assert got is not values and got.dtype == np.float64
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(ValidationError, match=r"steps 9 values, got \(9, 1\)"):
                 plan.advance(ints[:, None], 0, 5)
 
     def test_memory_is_bounded_whatever_the_step_count(self):

@@ -16,7 +16,6 @@ from rieszfd import (
     NoSuchSnapshot,
     SchemeConfig,
     SimulationConfig,
-    UnstableTimestep,
     build_grid,
     mass,
     max_stable_dt,
@@ -107,7 +106,7 @@ class TestResolveDt:
                 assert resolve_dt(config)[0] == dt
                 assert np.max(np.abs(final)) < 0.15
             else:
-                with pytest.raises(UnstableTimestep, match=f"sigma={sigma}"):
+                with pytest.raises(ConfigInvalid, match=f"stability bound .* of sigma={sigma},"):
                     resolve_dt(config)
                 assert not np.max(np.abs(final)) < 1e10
 
