@@ -183,11 +183,15 @@ class BoundarySpec:
 
 def boundary_at_half_step(spec: BoundarySpec, dt: float, f):
     """Boundary value at the half step t = dt * (f + 1/2), or an array of
-    the values when ``f`` is an integer array of steps."""
+    the values when ``f`` is an integer array of steps.  A constant takes
+    its value without the times."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if np.any(np.asarray(f) < 0):
+    steps = np.asarray(f)
+    if steps.min(initial=0) < 0:
         raise ValueError(f"step index must be >= 0, got {f}")
+    if spec.kind == "constant":
+        return spec.value if steps.ndim == 0 else np.full(steps.shape, spec.value)
     return spec.at(dt * (f + 0.5))
 
 

@@ -15,6 +15,14 @@ factors it once per run and returns an immutable factorization whose
   O(N log N) work in O(N) memory, and the implicit systems need a few.
   A solve is then four FFT calls, also O(N log N).
 
+Both factorizations are frozen and hold only their factors, so one may
+serve any number of threads at once.  ``solve`` puts its intermediates
+into the arrays of ``work_arrays`` and its result into ``out``; a caller
+that solves many times, as ``StepPlan.advance`` does, allocates them once
+per call and passes them to every solve, which then allocates nothing.
+Without them a solve allocates its own, so the arrays are never shared
+between callers.
+
 The dense LU (``lu_factor``/``lu_solve``, partial row pivoting, LAPACK
 ``getrf``/``getrs``) solves the dense reference system of
 ``schemes.assemble_system`` in the tests and ``verify``; the solver itself
@@ -29,6 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
+# the transforms that scipy.fft.rfft and irfft run, called without their
+# dispatch and argument checks (about a third of a solve at N = 1000) and
+# with an output array; the solve tests pin them to scipy.fft bit for bit
+from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import LinearOperator, gmres
 
@@ -59,6 +71,9 @@ GMRES_MAX_ITERATIONS = 150
 _STRANG_MARGIN = 16
 # scipy's gttrf wrapper rejects systems of fewer than three rows
 _GTTRF_MIN_ROWS = 3
+# the normalizations that scipy.fft.rfft and irfft pass to pocketfft's
+# r2c and c2r: none forward, 1/m inverse
+_FORWARD, _INVERSE = 0, 2
 
 
 @dataclass(frozen=True)
@@ -106,6 +121,13 @@ def _rhs(rhs, n: int) -> np.ndarray:
     return b
 
 
+def _written(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return x
+    out[...] = x
+    return out
+
+
 def _frozen(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.setflags(write=False)
@@ -126,15 +148,22 @@ class TridiagonalFactorization:
     ipiv: np.ndarray
     n: int
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def work_arrays(self) -> tuple[np.ndarray]:
+        """The right-hand side that gttrs overwrites, zero in its padding rows."""
+        return (np.zeros(len(self.d)),)
+
+    def solve(
+        self, rhs: np.ndarray, out: np.ndarray | None = None, work: tuple | None = None
+    ) -> np.ndarray:
+        """x with T x = rhs, written into ``out`` when given."""
         b = _rhs(rhs, self.n)
-        if len(self.d) > self.n:
-            b = np.concatenate((b, np.zeros(len(self.d) - self.n)))
+        (padded,) = self.work_arrays() if work is None else work
+        padded[: self.n] = b  # the padding rows solve to zero and stay zero
         gttrs, = get_lapack_funcs(("gttrs",), (self.d,))
-        x, info = gttrs(self.dl, self.d, self.du, self.du2, self.ipiv, b)
+        x, info = gttrs(self.dl, self.d, self.du, self.du2, self.ipiv, padded, overwrite_b=True)
         if info != 0:
             raise ValueError(f"LAPACK gttrs failed with info={info}")
-        return x[: self.n]
+        return _written(x[: self.n], out)
 
 
 @dataclass(frozen=True)
@@ -154,6 +183,10 @@ class ToeplitzFactorization:
     one forward and one inverse transform of two rows each, and one of
     each of a single row.  ``iterations`` is the GMRES iteration count of
     the one solve that gave x and y together.
+
+    Every transform reads an input already zero-padded to ``size`` and
+    writes into an array of ``work_arrays``, and so do the spectral
+    products: a solve handed those arrays allocates nothing.
     """
 
     lower: np.ndarray
@@ -162,12 +195,30 @@ class ToeplitzFactorization:
     n: int
     iterations: int
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def work_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The zero-padded transform inputs, the inverse transforms' outputs
+        and two pairs of spectra rows."""
+        m, k = self.size, self.size // 2 + 1
+        return np.zeros((2, m)), np.empty((2, m)), np.empty((2, k), complex), np.empty((2, k), complex)
+
+    def solve(
+        self, rhs: np.ndarray, out: np.ndarray | None = None, work: tuple | None = None
+    ) -> np.ndarray:
+        """x with T x = rhs, written into ``out`` when given."""
         b = _rhs(rhs, self.n)
         n, m = self.n, self.size
-        inner = fft.irfft(self.upper * fft.rfft(b, m), m)[:, n - 1 : 2 * n - 1]
-        spectra = fft.rfft(inner, m)
-        return fft.irfft(self.lower[0] * spectra[0] + self.lower[1] * spectra[1], m)[:n]
+        padded, inverse, spectra, products = self.work_arrays() if work is None else work
+        padded[0, :n] = b
+        _r2c(padded[0], (0,), True, _FORWARD, products[0], 1)
+        np.multiply(self.upper, products[0], out=spectra)
+        _c2r(spectra, (1,), m, False, _INVERSE, inverse, 1)
+        padded[:, :n] = inverse[:, n - 1 : 2 * n - 1]
+        _r2c(padded, (1,), True, _FORWARD, products, 1)
+        np.multiply(self.lower[0], products[0], out=products[0])
+        np.multiply(self.lower[1], products[1], out=products[1])
+        np.add(products[0], products[1], out=products[0])
+        _c2r(products[0], (0,), m, False, _INVERSE, inverse[0], 1)
+        return _written(inverse[0, :n], out)
 
 
 def toeplitz_factor(

@@ -166,7 +166,13 @@ class StepPlan:
         so any step count takes O(N + _SEGMENT_STEPS) memory.  A blocked
         call takes segments of whole blocks, so only its last segment has a
         short block and builds a panel of its own.  A call of fewer than
-        ``_BLOCKED_CALL_STEPS`` steps steps one at a time and builds no blocks."""
+        ``_BLOCKED_CALL_STEPS`` steps steps one at a time and builds no blocks.
+
+        A call that steps one at a time allocates its work arrays once: two
+        states that the steps alternate between, the right-hand side and
+        the factorization's ``work_arrays``, which every solve overwrites.
+        They belong to the call, not to the plan, so a plan stays immutable
+        and may step any number of states at once, in any thread."""
         if f < 0 or steps < 1:
             raise ValueError(f"advance needs f >= 0 and steps >= 1, got f={f}, steps={steps}")
         values, n = np.asarray(values, dtype=float), self.grid.n_cells
@@ -174,6 +180,10 @@ class StepPlan:
             raise ValidationError(f"a {n}-cell plan steps {n + 1} values, got {values.shape}")
         blocked = steps >= _BLOCKED_CALL_STEPS and self._squares is not None
         stride = _SEGMENT_STEPS - _SEGMENT_STEPS % self._block_steps if blocked else _SEGMENT_STEPS
+        if not blocked:  # the work arrays of every step of the call
+            states, rhs, term = (np.empty(n + 1), np.empty(n + 1)), np.empty(n - 1), np.empty(n - 1)
+            solver = self.factorization
+            work = None if solver is None else solver.work_arrays()
         for start in range(f, f + steps, stride):
             half_steps = np.arange(start, min(start + stride, f + steps))
             g_lefts = boundary_at_half_step(self.bc_left, self.dt, half_steps)
@@ -182,16 +192,20 @@ class StepPlan:
                 values = self._march_blocks(values, g_lefts, g_rights)
                 continue
             for g_left, g_right in zip(g_lefts.tolist(), g_rights.tolist()):
+                state = states[values is states[0]]  # the one that values is not
                 interior = values[1:-1]
                 if self.stencil is not None:  # one output per interior node
                     interior = np.correlate(values, self.stencil, "valid")
                 if g_left != 0.0:
-                    interior = interior + g_left * self.left
+                    interior = np.add(interior, np.multiply(g_left, self.left, out=term), out=rhs)
                 if g_right != 0.0:
-                    interior = interior + g_right * self.right
-                if self.factorization is not None:
-                    interior = self.factorization.solve(interior)
-                values = np.concatenate(([g_left], interior, [g_right]))
+                    interior = np.add(interior, np.multiply(g_right, self.right, out=term), out=rhs)
+                if solver is None:
+                    state[1:-1] = interior
+                else:
+                    solver.solve(interior, state[1:-1], work)
+                state[0], state[-1] = g_left, g_right
+                values = state
         return values
 
     @property

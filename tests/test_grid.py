@@ -113,6 +113,21 @@ class TestBoundarySpec:
             boundary_at_half_step(spec, 0.0, 0)
         with pytest.raises(ValueError):
             boundary_at_half_step(spec, 0.1, -1)
+        with pytest.raises(ValueError, match="step index must be >= 0"):
+            boundary_at_half_step(spec, 0.1, np.array([3, -1, 4]))
+
+    @pytest.mark.parametrize("spec", [
+        BoundarySpec.constant(-0.7),
+        BoundarySpec.time_table([(0.0, 1.0), (0.3, -0.5), (1.0, 2.0)]),
+    ], ids=["constant", "table"])
+    def test_equals_the_spec_at_the_half_step_times_bit_for_bit(self, spec):
+        # a constant skips the times, so it must still give what at() gives
+        dt = 0.0123
+        for f in (0, 17, 5000, np.arange(1), np.arange(3, 200), np.arange(4096)):
+            expected = spec.at(dt * (f + 0.5))
+            got = boundary_at_half_step(spec, dt, f)
+            assert type(got) is type(expected) and np.shape(got) == np.shape(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestMass:

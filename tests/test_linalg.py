@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import fft
 from scipy.linalg import matmul_toeplitz, solve_toeplitz, toeplitz
 
 from rieszfd import (
@@ -195,3 +196,41 @@ def test_generator_iterations_stay_few_at_scale():
     assert isinstance(fact, ToeplitzFactorization)
     assert 1 <= fact.iterations <= 12
     assert fact.iterations == toeplitz_factor(*_implicit_system(16384)).iterations
+
+
+def _four_transforms(fact, b):
+    # x_0 T^-1 b = L(x) U(Jy) b - L(Zy) U(ZJx) b by its four FFT calls,
+    # each input zero-padded by the transform itself
+    n, m = fact.n, fact.size
+    inner = fft.irfft(fact.upper * fft.rfft(b, m), m)[:, n - 1 : 2 * n - 1]
+    spectra = fft.rfft(inner, m)
+    return fft.irfft(fact.lower[0] * spectra[0] + fact.lower[1] * spectra[1], m)[:n]
+
+
+@pytest.mark.parametrize("n", [3, 64, 999, 1000, 4095])
+def test_toeplitz_solve_is_the_four_transform_formula_bit_for_bit(rng, n):
+    fact = toeplitz_factor(*_implicit_system(n + 1))
+    assert isinstance(fact, ToeplitzFactorization)
+    work, out = fact.work_arrays(), np.empty(n)
+    for b in (rng.uniform(-1.0, 1.0, n), np.cos(0.37 * np.arange(n)), np.zeros(n)):
+        before = b.tobytes()
+        expected = _four_transforms(fact, b).tobytes()
+        assert fact.solve(b).tobytes() == expected
+        # work arrays reused from the solve before give the same bytes
+        assert fact.solve(b, out, work) is out and out.tobytes() == expected
+        assert b.tobytes() == before
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+def test_tridiagonal_solve_into_reused_arrays_is_the_fresh_solve(rng, n):
+    c, r = _dominant_toeplitz(rng, n, 1)
+    fact = toeplitz_factor(c, r)
+    assert isinstance(fact, TridiagonalFactorization)
+    work, out = fact.work_arrays(), np.empty(n)
+    for _ in range(3):
+        b = rng.uniform(-1.0, 1.0, n)
+        before = b.tobytes()
+        expected = fact.solve(b)
+        assert np.max(np.abs(toeplitz(c, r) @ expected - b)) <= 1e-14
+        assert fact.solve(b, out, work) is out and out.tobytes() == expected.tobytes()
+        assert b.tobytes() == before and not np.any(work[0][n:])

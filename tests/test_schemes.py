@@ -460,8 +460,13 @@ class TestAdvance:
         params = validate_params(1.5, 0.3)
         grid = build_grid(-10.0, 10.0, n)
         cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=sigma)
+        # the work arrays of a 20-step advance stay inside the same bound
+        values = np.exp(-grid.nodes() ** 2)
         for dt in (0.5, 1e4 * max_stable_dt(params, 1.0, grid.h)):
             peak = _peak_bytes(lambda: step_plan(cfg, dt, grid))
+            assert peak <= rieszfd.simulate._PLAN_ARRAYS * 8 * (n + 1)
+            plan = step_plan(cfg, dt, grid)
+            peak = _peak_bytes(lambda: plan.advance(values, 0, 20))
             assert peak <= rieszfd.simulate._PLAN_ARRAYS * 8 * (n + 1)
 
     @pytest.mark.parametrize("steps", [1, 31, 70], ids=["one", "31", "blocked"])
@@ -491,6 +496,42 @@ class TestAdvance:
         assert not np.shares_memory(got, values) and got.flags.writeable
         values.setflags(write=False)  # a write into it would now raise
         assert np.array_equal(plan.advance(values, 3, steps), got)
+
+    @pytest.mark.parametrize("n, alpha, theta, sigma, dt, steps, boundaries", [
+        (1000, 1.5, 0.3, 0.0, 1e-4, 2000, "zero"),  # the benchmark's implicit_skew march
+        (400, 1.5, 0.3, 0.5, 2.5e-4, 5000, "tables"),  # past a segment of _SEGMENT_STEPS
+        (1000, 2.0, 0.0, 0.5, 1e-3, 300, "constant"),  # the tridiagonal solve
+    ], ids=["implicit-skew", "sigma-half-tables", "tridiagonal"])
+    def test_steps_bit_for_bit_like_a_new_array_per_step(
+        self, n, alpha, theta, sigma, dt, steps, boundaries
+    ):
+        # the step's arithmetic written out with fresh arrays, as advance
+        # did before it reused its work arrays from step to step
+        grid = build_grid(-10.0, 10.0, n)
+        bcs = {
+            "zero": (BoundarySpec.constant(0.0),) * 2,
+            "constant": (BoundarySpec.constant(0.4), BoundarySpec.constant(-0.6)),
+            "tables": (BoundarySpec.time_table([(0.0, 1.0), (0.5, -0.5), (1.25, 0.2)]),
+                       BoundarySpec.time_table([(0.0, 0.0), (1.25, 2.0)])),
+        }[boundaries]
+        cfg = SchemeConfig(params=validate_params(alpha, theta), k_alpha=1.0, sigma=sigma,
+                           bc_left=bcs[0], bc_right=bcs[1])
+        plan = step_plan(cfg, dt, grid)
+        assert rieszfd.schemes._SEGMENT_STEPS == 4096 and plan.factorization is not None
+        values = sample_initial(InitialCondition.delta(), grid).values
+        times = dt * (np.arange(steps) + 0.5)
+        expected = values
+        for g_left, g_right in zip(bcs[0].at(times).tolist(), bcs[1].at(times).tolist()):
+            interior = expected[1:-1]
+            if plan.stencil is not None:
+                interior = np.correlate(expected, plan.stencil, "valid")
+            if g_left != 0.0:
+                interior = interior + g_left * plan.left
+            if g_right != 0.0:
+                interior = interior + g_right * plan.right
+            interior = plan.factorization.solve(interior)
+            expected = np.concatenate(([g_left], interior, [g_right]))
+        assert plan.advance(values, 0, steps).tobytes() == expected.tobytes()
 
 
 def _heat_plan(n, sigma=1.0, alpha=2.0, bc_left=BoundarySpec.constant(0.0),
