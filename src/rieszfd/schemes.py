@@ -12,11 +12,12 @@ them once from the grid, in O(N) memory, and below sigma = 1 factors the
 interior Toeplitz system; a step is then one correlation that gives the
 N - 1 interior values, an axpy per nonzero boundary value and an
 O(N log N) solve.  An explicit plan with the symmetric three-point
-stencil (alpha = 2 at N >= 10) takes up to ``_BLOCK_STEPS`` steps per
-matrix product instead: the state extended oddly about both ends, read
-in overlapping rows, times a Toeplitz panel of the composed stencil,
-which repeated squaring of the three taps builds.  The product keeps
-direct sums, so delta data stays exactly zero beyond its reach.
+stencil and constant end values (alpha = 2 at N >= 3) takes up to
+``_BLOCK_STEPS`` steps per matrix product instead: the state reflected
+about each end value, read in overlapping rows, times a Toeplitz panel
+of the composed stencil, which repeated squaring of the three taps
+builds.  The product keeps direct sums, so delta data stays exactly zero
+beyond its reach.
 ``rf_apply_bounded`` and ``assemble_system`` are the dense reference the
 tests and ``verify`` compare with: given only the state and the scheme's
 parameters, they tabulate the same weights and tails for the state's
@@ -137,14 +138,13 @@ class StepPlan:
     ``factorization`` is T's (None at sigma = 1, T = I).  ``advance``
     takes any number of steps in one call, the same arithmetic in the same
     order as that many one-step calls, except that an explicit plan with a
-    symmetric three-tap stencil and no boundary column takes a call of
+    symmetric three-tap stencil of nonnegative taps that sum to 1, no
+    boundary column and constant end values takes a call of
     ``_BLOCKED_CALL_STEPS`` or more steps in blocks, by the method of
-    images, to rounding of one-step calls; a repeated call repeats its bits.
-    Such a plan keeps the powers of two of its stencil and the Toeplitz
-    panel of a full block, O(k L) floats for k = ``_block_steps`` and
-    L = ``_PANEL_WIDTH``, built on its first blocked call; the table of
-    every composed stencil up to P_k is built only by a blocked call with
-    a nonzero end value, which the inflow product reads.
+    images, to rounding of one-step calls; a repeated call repeats its
+    bits.  Such a plan keeps the powers of two of its stencil and the
+    Toeplitz panel of a full block, O(k L) floats for k = ``_block_steps``
+    and L = ``_PANEL_WIDTH``, built on its first blocked call.
     """
 
     grid: Grid1D
@@ -164,8 +164,9 @@ class StepPlan:
         shape but (N+1,) ValidationError, before any work.  The boundary
         values are evaluated at most ``_SEGMENT_STEPS`` half steps at a time,
         so any step count takes O(N + _SEGMENT_STEPS) memory.  A blocked
-        call takes segments of whole blocks, so only its last segment has a
-        short block and builds a panel of its own.  A call of fewer than
+        call evaluates none: if the end values of C^f differ from the
+        constant ones, it takes its first step alone, and then every other
+        step in blocks, in O(N + k L) memory.  A call of fewer than
         ``_BLOCKED_CALL_STEPS`` steps steps one at a time and builds no blocks.
 
         A call that steps one at a time allocates its work arrays once: two
@@ -178,19 +179,16 @@ class StepPlan:
         values, n = np.asarray(values, dtype=float), self.grid.n_cells
         if values.shape != (n + 1,):
             raise ValidationError(f"a {n}-cell plan steps {n + 1} values, got {values.shape}")
-        blocked = steps >= _BLOCKED_CALL_STEPS and self._squares is not None
-        stride = _SEGMENT_STEPS - _SEGMENT_STEPS % self._block_steps if blocked else _SEGMENT_STEPS
-        if not blocked:  # the work arrays of every step of the call
-            states, rhs, term = (np.empty(n + 1), np.empty(n + 1)), np.empty(n - 1), np.empty(n - 1)
-            solver = self.factorization
-            work = None if solver is None else solver.work_arrays()
-        for start in range(f, f + steps, stride):
-            half_steps = np.arange(start, min(start + stride, f + steps))
+        single = steps  # the steps taken one at a time
+        if steps >= _BLOCKED_CALL_STEPS and self._squares is not None:
+            single = int(values[0] != self.bc_left.value or values[-1] != self.bc_right.value)
+        states, rhs, term = (np.empty(n + 1), np.empty(n + 1)), np.empty(n - 1), np.empty(n - 1)
+        solver = self.factorization
+        work = None if solver is None else solver.work_arrays()
+        for start in range(f, f + single, _SEGMENT_STEPS):
+            half_steps = np.arange(start, min(start + _SEGMENT_STEPS, f + single))
             g_lefts = boundary_at_half_step(self.bc_left, self.dt, half_steps)
             g_rights = boundary_at_half_step(self.bc_right, self.dt, half_steps)
-            if blocked:
-                values = self._march_blocks(values, g_lefts, g_rights)
-                continue
             for g_left, g_right in zip(g_lefts.tolist(), g_rights.tolist()):
                 state = states[values is states[0]]  # the one that values is not
                 interior = values[1:-1]
@@ -206,60 +204,49 @@ class StepPlan:
                     solver.solve(interior, state[1:-1], work)
                 state[0], state[-1] = g_left, g_right
                 values = state
-        return values
+        return values if single == steps else self._march_blocks(values, steps - single)
 
     @property
-    def _block_steps(self) -> int:  # any k <= N - 1 is exact; N / 4 caps the inflow's cost
-        return min(_BLOCK_STEPS, (self.grid.n_cells - 2) // 4)
+    def _block_steps(self) -> int:  # the images of a block of k <= N - 1 steps are exact
+        return min(_BLOCK_STEPS, self.grid.n_cells - 1)
 
-    def _march_blocks(
-        self, values: np.ndarray, g_lefts: np.ndarray, g_rights: np.ndarray
-    ) -> np.ndarray:
-        """Blocks of ``_block_steps`` = k steps at the boundary values
-        ``g_lefts``/``g_rights``, the first taking the r <= k steps left over.
+    def _march_blocks(self, values: np.ndarray, steps: int) -> np.ndarray:
+        """``steps`` steps from ``values``, whose end values are the
+        constant g_L and g_R, in blocks of ``_block_steps`` = k steps, the
+        first taking the r <= k steps left over.
 
-        Holding an end node at zero steps a symmetric stencil like the free
-        step of the state extended oddly about that node.  So an r-step
-        block takes P_r, the r-fold composed stencil, over (-C_r, ..., -C_1,
-        0, C_1, ..., C_(N-1), 0, -C_(N-1), ..., -C_(N-r)), held in one
-        zero-tailed buffer, as one batched matrix product: row q of a
-        strided view reads the L + 2r values around nodes qL..qL+L-1, L =
-        ``_PANEL_WIDTH``, in pieces of L, each piece times its L x L piece
-        of P_r's Toeplitz panel, and the pieces are summed in order.  The
-        sums stay direct, so delta data keeps its exact zeros, and no BLAS
-        product sums more than L terms, so the bytes do not depend on the
-        BLAS thread count.  An end value read j steps before a block ends
-        adds s_-1 (P_j[m-1] - P_j[m+1]) to node m; the first k - r of a
-        short block's slots are zero, so one product carries in the end
-        values of all blocks, and a call whose end values are all zero
-        skips it."""
-        k, n, m, width = self._block_steps, self.grid.n_cells, len(g_lefts), _PANEL_WIDTH
-        slots = np.zeros((m + -m % k, 2))  # k per block: the end values each step reads
-        slots[-m % k :] = np.vstack((values[[0, -1]], np.column_stack((g_lefts, g_rights))[:-1]))
-        carried = None  # what a block's end values add
-        if slots.any():
-            spread = slots.T.reshape(2, -1, k) @ self._inflow
-            carried = self.stencil[0] * (spread[:, :, :k] - spread[:, :, 2:])
+        A symmetric stencil whose taps sum to 1 steps the state reflected
+        about a held end value g, C_-j = 2g - C_j, into the reflection of
+        its step, and holds the end node at g.  So an r-step block takes
+        P_r, the r-fold composed stencil, over (2g_L - C_r, ..., 2g_L - C_1,
+        g_L, C_1, ..., C_(N-1), g_R, 2g_R - C_(N-1), ..., 2g_R - C_(N-r)),
+        held in one zero-tailed buffer, as one batched matrix product: row
+        q of a strided view reads the L + 2r values around nodes
+        qL..qL+L-1, L = ``_PANEL_WIDTH``, in pieces of L, each piece times
+        its L x L piece of P_r's Toeplitz panel, and the pieces are summed
+        in order.  The sums stay direct, so delta data keeps its exact
+        zeros, and no BLAS product sums more than L terms, so the bytes do
+        not depend on the BLAS thread count."""
+        k, n, width = self._block_steps, self.grid.n_cells, _PANEL_WIDTH
+        g_left, g_right = self.bc_left.value, self.bc_right.value
         rows, reach = -(-(n + 1) // width), None
-        extended = np.zeros(2 * k + (rows + 1) * width)  # zeros on the end nodes and the tail
+        extended = np.zeros(2 * k + (rows + 1) * width)  # images, state and a zero tail
+        extended[[k, k + n]] = g_left, g_right
         row, size = width * extended.itemsize, extended.itemsize
-        for b, first in enumerate(range(-(-m % k), m, k)):  # the short block first
-            r, last = k + min(first, 0), first + k - 1
+        for first in range(-(-steps % k), steps, k):  # the short block first
+            r = k + min(first, 0)
             if r != reach:
                 reach, panel = r, self._panel if r == k else _toeplitz_panel(self._composed(r))
                 windows = np.lib.stride_tricks.as_strided(  # piece c of row q: its c-th L values
                     extended[k - r :], (len(panel), rows, width), (row, row, size),
                     writeable=False,
                 )
-            np.negative(values[k:0:-1], out=extended[:k])
+            extended[:k] = 2.0 * g_left - values[k:0:-1]
             extended[k + 1 : k + n] = values[1:-1]
-            np.negative(values[-2 : -k - 2 : -1], out=extended[k + n + 1 : 2 * k + n + 1])
+            extended[k + n + 1 : 2 * k + n + 1] = 2.0 * g_right - values[-2 : -k - 2 : -1]
             with np.errstate(over="ignore", invalid="ignore"):  # run refuses inf and nan
                 values = (windows @ panel).sum(axis=0).ravel()[: n + 1]
-            if carried is not None:
-                values[1 : k + 1] += carried[0, b]
-                values[-2 : -k - 2 : -1] += carried[1, b]
-            values[0], values[-1] = g_lefts[last], g_rights[last]
+            values[0], values[-1] = g_left, g_right
         return values
 
     @cached_property
@@ -267,11 +254,16 @@ class StepPlan:
         """P_1, P_2, P_4, ..., P_(2^i) for 2^i <= k = ``_block_steps``, each
         as its half on the offsets 0..2^i (P_j is symmetric), by
         repeated squaring of the stencil s.  None unless k >= 2 and the
-        plan is explicit with a symmetric three-tap stencil s and no
-        boundary column."""
+        plan is explicit, with constant end values, no boundary column and
+        a symmetric three-tap stencil s whose taps are nonnegative and sum
+        to 1 as ``step_plan``'s do, s_0 = 1 - 2 s_-1: only then do the
+        images stay reflections, and a negative tap (a step past the
+        explicit bound) makes the composed stencils cancel."""
         k, s = self._block_steps, self.stencil
         if (k < 2 or self.factorization is not None or len(s) != 3 or s[0] != s[2]
-                or self.left.any() or self.right.any()):
+                or s[1] != 1.0 - 2.0 * s[0] or not np.all(s >= 0.0)
+                or self.left.any() or self.right.any()
+                or self.bc_left.kind != "constant" or self.bc_right.kind != "constant"):
             return None
         squares, mass = [s[1:].copy()], math.fsum(s)
         while 2 ** len(squares) <= k:
@@ -290,19 +282,6 @@ class StepPlan:
     def _panel(self) -> np.ndarray:
         """The Toeplitz panel of P_k, k = ``_block_steps``: every full block's."""
         return _toeplitz_panel(self._composed(self._block_steps))
-
-    @cached_property
-    def _inflow(self) -> np.ndarray:
-        """Row k - 1 - j is P_j on the offsets 0..k+1, j = 0..k-1, k =
-        ``_block_steps``: what an end value read j steps before a block
-        ends spreads to.  Built by k correlations with the stencil s, by
-        the first blocked call with a nonzero end value."""
-        k, s = self._block_steps, self.stencil
-        composed, powers = np.ones(1), np.zeros((k, k + 2))
-        for j in range(k):  # s is symmetric, so correlating with it convolves
-            powers[k - 1 - j, : j + 1] = composed[j:]
-            composed = np.correlate(composed, s, "full")
-        return powers
 
 
 def _compose(a: np.ndarray, b: np.ndarray, mass: float) -> np.ndarray:

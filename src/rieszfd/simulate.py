@@ -170,8 +170,9 @@ def run(config: SimulationConfig) -> SnapshotSeries:
     Deterministic: identical configs produce bit-identical series.  They
     equal stepping ``implicit_step`` by hand with a plan of the same dt,
     bit for bit, or to rounding where ``StepPlan.advance`` blocks (explicit
-    alpha = 2 at N >= 10, between recorded steps 32 or more steps apart),
-    taking up to 256 steps per matrix product with a Toeplitz panel.
+    alpha = 2 with constant end values, N >= 3, between recorded steps 32 or
+    more steps apart), taking up to 256 steps per matrix product with a
+    Toeplitz panel.
     An unstable dt for the run's sigma or a step count past the budget is
     refused before anything is built.  One ``step_plan`` of the run's grid
     is built once; one ``StepPlan.advance`` call per recorded step then

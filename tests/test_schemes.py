@@ -446,6 +446,12 @@ class TestAdvance:
         plan = step_plan(cfg, dt, grid)
         values = np.linspace(0.0, 1.0, 9)
         assert _peak_bytes(lambda: plan.advance(values, 0, 30_000)) < 2**20
+        # a blocked call evaluates no boundary values and cuts no segments
+        plan = _heat_plan(64, bc_left=BoundarySpec.constant(1.0),
+                          bc_right=BoundarySpec.constant(0.25))
+        values = np.linspace(0.0, 1.0, 65)
+        assert _peak_bytes(lambda: plan.advance(values, 0, 30_000)) < 2**20
+        assert plan._squares is not None
 
     def test_scalar_weight_memory_does_not_grow_with_the_offset(self):
         params = validate_params(1.5, 0.3)
@@ -535,10 +541,10 @@ class TestAdvance:
 
 
 def _heat_plan(n, sigma=1.0, alpha=2.0, bc_left=BoundarySpec.constant(0.0),
-               bc_right=BoundarySpec.constant(0.0)):
+               bc_right=BoundarySpec.constant(0.0), share_of_bound=0.9):
     params = validate_params(alpha, 0.0)
     grid = build_grid(-10.0, 10.0, n)
-    dt = 0.9 * max_stable_dt(params, 1.0, grid.h)
+    dt = share_of_bound * max_stable_dt(params, 1.0, grid.h)
     cfg = SchemeConfig(params=params, k_alpha=1.0, sigma=sigma, bc_left=bc_left, bc_right=bc_right)
     return step_plan(cfg, dt, grid)
 
@@ -569,18 +575,18 @@ def _assert_not_blocked(plan):
 
 
 class TestBlockedAdvance:
-    """alpha = 2 at N >= 10: a call of at least _BLOCKED_CALL_STEPS steps takes
-    up to k = min(_BLOCK_STEPS, (N - 2) // 4) steps per matrix product."""
+    """alpha = 2 at N >= 3 with constant end values: a call of at least
+    _BLOCKED_CALL_STEPS steps takes up to k = min(_BLOCK_STEPS, N - 1) steps
+    per matrix product."""
 
     @pytest.mark.parametrize("n", [130, 200, 1000, 1023])
-    @pytest.mark.parametrize("boundaries", ["zero", "constant", "tables"])
+    @pytest.mark.parametrize("boundaries", ["zero", "constant"])
     @pytest.mark.parametrize("f, steps", [(7, 100), (0, 4200), (3, "2k+1"), (3, "2k-1")])
     def test_agrees_with_one_step_calls_to_rounding(self, n, boundaries, f, steps):
         # no step count is a whole number of blocks: a short block of 1 and
-        # of k - 1 steps, and 4200 steps cross a segment boundary, where
-        # segments are whole blocks and the last one leaves a short block.
-        # N + 1 = 1024 fills the last row of the panel product, the other
-        # grids leave part of it past the images
+        # of k - 1 steps, and 4200 steps of 16 or more blocks.  N + 1 = 1024
+        # fills the last row of the panel product, the other grids leave
+        # part of it past the images
         k = _heat_plan(n)._block_steps
         steps = {"2k+1": 2 * k + 1, "2k-1": 2 * k - 1}.get(steps, steps)
         assert steps % k != 0
@@ -588,10 +594,6 @@ class TestBlockedAdvance:
         bcs = BoundarySpec.constant(0.0), BoundarySpec.constant(0.0)
         if boundaries == "constant":
             bcs = BoundarySpec.constant(0.7), BoundarySpec.constant(-1.3)
-        elif boundaries == "tables":
-            dt = _heat_plan(n).dt
-            bcs = (BoundarySpec.time_table([(0.0, 1.0), (3000 * dt, -0.5)]),
-                   BoundarySpec.time_table([(0.0, 0.0), (50 * dt, 2.0), (2000 * dt, 0.5)]))
         plan = _heat_plan(n, bc_left=bcs[0], bc_right=bcs[1])
         assert plan._squares is not None
         values = np.exp(-plan.grid.nodes() ** 2) + np.sin(plan.grid.nodes())
@@ -601,15 +603,15 @@ class TestBlockedAdvance:
         assert blocked[0] == stepped[0] and blocked[-1] == stepped[-1]
         if boundaries != "zero":
             return
-        # delta data with zero end values: exact zeros beyond the reach, no
-        # negative node, and no table of composed stencils for the inflow
+        # delta data with zero end values: exact zeros beyond the reach and
+        # no negative node
         plan = dataclasses.replace(plan)
         delta = np.zeros(n + 1)
         delta[n // 2] = 1.0 / plan.grid.h
         got = plan.advance(delta, f, steps)
         assert np.all(got[np.abs(np.arange(n + 1) - n // 2) > steps] == 0.0)
         assert np.all(got >= 0.0) and not np.any(np.signbit(got))
-        assert "_squares" in plan.__dict__ and "_inflow" not in plan.__dict__
+        assert "_squares" in plan.__dict__
 
     def test_delta_spreads_one_node_a_step_and_stays_nonnegative(self):
         plan = _heat_plan(1000)
@@ -620,19 +622,34 @@ class TestBlockedAdvance:
         far = np.abs(np.arange(1001) - 500) > 40
         assert np.all(values[far] == 0.0) and np.all(values[~far] > 0.0)
 
-    @pytest.mark.parametrize("n, sigma, alpha", [(200, 1.0, 1.5), (200, 0.5, 2.0), (9, 1.0, 2.0)])
-    def test_other_plans_step_bit_for_bit_like_one_step_calls(self, n, sigma, alpha):
-        # a long stencil, a solve or too few nodes for a block of two steps
-        plan = _heat_plan(n, sigma=sigma, alpha=alpha, bc_left=BoundarySpec.constant(0.4))
-        values = np.exp(-plan.grid.nodes() ** 2)
-        got = plan.advance(values, 3, 70)
+    @pytest.mark.parametrize("n, sigma, alpha, share_of_bound, ends, f, steps", [
+        (200, 1.0, 1.5, 0.9, "constant", 3, 70),  # a long stencil
+        (200, 0.5, 2.0, 0.9, "constant", 3, 70),  # a solve
+        (2, 1.0, 2.0, 0.9, "constant", 3, 70),  # too few nodes for a block of two steps
+        (200, 1.0, 2.0, 2.0, "constant", 3, 70),  # a negative tap, past the explicit bound
+        *[(n, 1.0, 2.0, 0.9, "tables", f, steps)  # past a segment of _SEGMENT_STEPS too
+          for n in (10, 33, 64, 129, 130, 200, 1000, 1023)
+          for f, steps in ((3, 70), (7, 100), (0, 4200))],
+    ])
+    def test_other_plans_step_bit_for_bit_like_one_step_calls(
+        self, n, sigma, alpha, share_of_bound, ends, f, steps
+    ):
+        bcs = BoundarySpec.constant(0.4), BoundarySpec.constant(0.0)
+        if ends == "tables":
+            dt = _heat_plan(n).dt
+            bcs = (BoundarySpec.time_table([(0.0, 1.0), (30 * dt, -0.5), (3000 * dt, 0.2)]),
+                   BoundarySpec.time_table([(0.0, 0.0), (7 * dt, 2.0), (2000 * dt, 0.5)]))
+        plan = _heat_plan(n, sigma=sigma, alpha=alpha, bc_left=bcs[0], bc_right=bcs[1],
+                          share_of_bound=share_of_bound)
+        values = np.exp(-plan.grid.nodes() ** 2) + np.sin(plan.grid.nodes())
+        got = plan.advance(values, f, steps)
         assert plan._squares is None
-        assert np.array_equal(got, _one_step_at_a_time(plan, values, 3, 70))
+        assert np.array_equal(got, _one_step_at_a_time(plan, values, f, steps))
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_a_boundary_column_past_the_stencil_is_not_blocked(self, side):
-        # the odd extension holds both ends at zero, so it has no place for
-        # a boundary column: a plan with one steps one step at a time
+        # the images hold each end at its own value, so they have no place
+        # for a boundary column: a plan with one steps one step at a time
         _assert_not_blocked(_forged_heat_plan(**{side: _column_at(101)}))
 
     @pytest.mark.parametrize("side, node", [("left", 1), ("right", 199)])
@@ -640,15 +657,20 @@ class TestBlockedAdvance:
         _assert_not_blocked(_forged_heat_plan(**{side: _column_at(node)}))
 
     def test_an_asymmetric_stencil_is_not_blocked(self):
-        # an odd extension steps like a held end only for a symmetric stencil
+        # a reflection steps like a held end only for a symmetric stencil
         _assert_not_blocked(_forged_heat_plan(stencil=np.array([0.5, 0.1, 0.4])))
+
+    def test_a_stencil_whose_taps_do_not_sum_to_one_is_not_blocked(self):
+        # a reflection about a nonzero end value stays one only if they do
+        _assert_not_blocked(_forged_heat_plan(stencil=np.array([0.3, 0.3, 0.3])))
 
     def test_block_data_is_built_only_for_a_call_long_enough_to_block(self):
         plan = _heat_plan(200)
         values = np.exp(-plan.grid.nodes() ** 2)
+        values[[0, -1]] = 0.0  # the end values of the plan: no step alone
         plan.advance(values, 0)
         plan.advance(values, 0, rieszfd.schemes._BLOCKED_CALL_STEPS - 1)
-        assert not {"_squares", "_panel", "_inflow"} & plan.__dict__.keys()
+        assert not {"_squares", "_panel"} & plan.__dict__.keys()
         # a call shorter than a full block builds the squares, not P_k's panel
         assert rieszfd.schemes._BLOCKED_CALL_STEPS < plan._block_steps
         plan.advance(values, 0, rieszfd.schemes._BLOCKED_CALL_STEPS)
@@ -660,27 +682,23 @@ class TestBlockedAdvance:
         plan = _heat_plan(1000, bc_left=BoundarySpec.constant(0.4))
         values = np.exp(-plan.grid.nodes() ** 2)
         assert plan._squares is not None
-        assert plan._panel is not None and plan._inflow is not None
+        assert plan._panel is not None
         steps = rieszfd.schemes._BLOCKED_CALL_STEPS - 1
         got = plan.advance(values, 3, steps)
         assert np.array_equal(got, _one_step_at_a_time(plan, values, 3, steps))
 
     @pytest.mark.parametrize("n", [10, 33, 64, 129])
-    @pytest.mark.parametrize("boundaries", ["zero", "constant", "tables"])
+    @pytest.mark.parametrize("boundaries", ["zero", "constant"])
     def test_every_block_length_agrees_with_one_step_calls(self, n, boundaries):
-        # grids of two to 31 steps a block.  33 steps leave a short block
-        # over, 16 k steps none, and 4100 steps end in a segment of 4 steps.
-        # At zero boundary values the first step still reads the end values
+        # grids of 9 to 128 steps a block.  The end values of the state are
+        # not the constant ones, so every call takes its first step alone;
+        # 33 steps then leave a short block over, 16 k steps one of k - 1
         bcs = BoundarySpec.constant(0.0), BoundarySpec.constant(0.0)
         if boundaries == "constant":
             bcs = BoundarySpec.constant(0.7), BoundarySpec.constant(-1.3)
-        elif boundaries == "tables":
-            dt = _heat_plan(n).dt
-            bcs = (BoundarySpec.time_table([(0.0, 1.0), (30 * dt, -0.5), (900 * dt, 0.2)]),
-                   BoundarySpec.time_table([(0.0, 0.0), (7 * dt, 2.0), (3000 * dt, 0.5)]))
         plan = _heat_plan(n, bc_left=bcs[0], bc_right=bcs[1])
         k = plan._block_steps
-        assert k == min(rieszfd.schemes._BLOCK_STEPS, (n - 2) // 4) >= 2
+        assert k == min(rieszfd.schemes._BLOCK_STEPS, n - 1) >= 2
         assert plan._squares is not None
         values = np.cos(plan.grid.nodes()) + 0.1 * np.arange(n + 1)
         for f, steps in ((0, 33), (5, 16 * k), (1, 4100)):
@@ -692,11 +710,10 @@ class TestBlockedAdvance:
 
     @pytest.mark.parametrize("n", [6, 33])
     def test_a_block_of_up_to_n_minus_one_steps_is_exact(self, n, monkeypatch):
-        # the cap of a quarter of the grid is for cost: the k images and
-        # k inflow nodes of one end may reach to the other
-        dt = _heat_plan(n).dt
-        plan = _heat_plan(n, bc_left=BoundarySpec.time_table([(0.0, 1.0), (40 * dt, -0.5)]),
+        # the k images of one end may reach to the other end
+        plan = _heat_plan(n, bc_left=BoundarySpec.constant(1.0),
                           bc_right=BoundarySpec.constant(0.3))
+        assert plan._squares is not None
         values = np.sin(plan.grid.nodes())
         steps = 6 * n + 4
         stepped = _one_step_at_a_time(plan, values, 0, steps)
@@ -716,20 +733,16 @@ class TestBlockedAdvance:
         assert not np.any(np.signbit(values))
 
     @pytest.mark.parametrize("n", [130, 1000])
-    @pytest.mark.parametrize("boundaries", ["zero", "tables"])
-    def test_data_at_an_end_stays_nonnegative_without_negative_zeros(self, n, boundaries):
-        # the images subtract the mirrored state; box data on nodes 0..9
-        # must still give no negative node and no -0.0, whole blocks or not
-        bcs = BoundarySpec.constant(0.0), BoundarySpec.constant(0.0)
-        if boundaries == "tables":
-            dt = _heat_plan(n).dt
-            bcs = (BoundarySpec.time_table([(0.0, 0.0), (40 * dt, 2.0), (200 * dt, 0.0)]),
-                   BoundarySpec.time_table([(0.0, 1.0), (100 * dt, 0.0)]))
-        plan = _heat_plan(n, bc_left=bcs[0], bc_right=bcs[1])
+    @pytest.mark.parametrize("g_left", [0.0, 0.3, 2.0])
+    def test_data_at_an_end_stays_nonnegative_without_negative_zeros(self, n, g_left):
+        # the images subtract the mirrored state from twice the end value;
+        # box data on nodes 0..9 must still give no negative node and no
+        # -0.0, whole blocks or not
+        plan = _heat_plan(n, bc_left=BoundarySpec.constant(g_left))
         assert plan._squares is not None
         values = np.zeros(n + 1)
         values[:10] = 1.0
-        k = rieszfd.schemes._BLOCK_STEPS
+        k = plan._block_steps
         for blocks in range(1, 13):
             for steps in (k * blocks, k * blocks + 7):
                 got = plan.advance(values, 0, steps)
